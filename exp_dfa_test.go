@@ -4,18 +4,17 @@ package repro
 // against the NFA position-set stepper. The DFA path must be
 // observationally byte-identical: same leaf assignment for every accepted
 // child, same rejection step, same MatchError positions and messages, on
-// every content model of every bundled schema — and the full validators
-// (DOM and streaming) must produce identical Results with the DFA on and
-// off.
+// every content model of every bundled schema, over generated sequences
+// and over the sibling sequences of the differential corpus's instances.
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/contentmodel"
-	"repro/internal/dom"
 	"repro/internal/schemas"
-	"repro/internal/validator"
+	"repro/internal/xmlparser"
 	"repro/internal/xsd"
 )
 
@@ -31,12 +30,25 @@ var bundledSchemas = map[string]string{
 	"stream-features":        streamFeaturesXSD,
 }
 
-// schemaGlushkovs compiles every complex type reachable from the schema's
-// global components and returns the Glushkov content models.
+// schemaGlushkovs returns the Glushkov content models the schema compiles
+// (ComplexType.Matcher) for every complex type reachable from its global
+// components — the automata every validator walk steps.
 func schemaGlushkovs(t *testing.T, s *xsd.Schema) []*contentmodel.Glushkov {
 	t.Helper()
-	seen := map[*xsd.ComplexType]bool{}
 	var out []*contentmodel.Glushkov
+	for _, ct := range schemaComplexTypes(s) {
+		if g, ok := ct.Matcher(s).(*contentmodel.Glushkov); ok {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
+// schemaComplexTypes lists every complex type reachable from the schema's
+// global components.
+func schemaComplexTypes(s *xsd.Schema) []*xsd.ComplexType {
+	seen := map[*xsd.ComplexType]bool{}
+	var out []*xsd.ComplexType
 	var visitType func(ty xsd.Type)
 	var visitParticle func(p *xsd.Particle)
 	visitType = func(ty xsd.Type) {
@@ -45,9 +57,7 @@ func schemaGlushkovs(t *testing.T, s *xsd.Schema) []*contentmodel.Glushkov {
 			return
 		}
 		seen[ct] = true
-		if g, ok := ct.Matcher(s).(*contentmodel.Glushkov); ok {
-			out = append(out, g)
-		}
+		out = append(out, ct)
 		visitParticle(ct.Particle)
 	}
 	visitParticle = func(p *xsd.Particle) {
@@ -192,39 +202,116 @@ func TestDFAMatchesNFA(t *testing.T) {
 	}
 }
 
-// TestValidatorDFAParity runs the full differential corpus (the E8
-// diffCases: every bundled schema with valid, invalid and malformed
-// instances) through validators with the DFA enabled and disabled, over
-// both the DOM and the streaming paths. Results must be identical.
+// instanceSequences collects the child-name sequence of every element in
+// the instances, read off the token stream so that a malformed instance
+// still contributes the sequences of its well-formed prefix.
+func instanceSequences(instances map[string]string) [][]contentmodel.Symbol {
+	labels := make([]string, 0, len(instances))
+	for label := range instances {
+		labels = append(labels, label)
+	}
+	sort.Strings(labels)
+	var out [][]contentmodel.Symbol
+	for _, label := range labels {
+		dec := xmlparser.NewDecoder([]byte(instances[label]), nil)
+		var open [][]contentmodel.Symbol
+		for {
+			tok, err := dec.Next()
+			if err != nil {
+				break
+			}
+			switch tok.Kind {
+			case xmlparser.KindStartElement:
+				if n := len(open); n > 0 {
+					open[n-1] = append(open[n-1], contentmodel.Symbol{Space: tok.Name.Space, Local: tok.Name.Local})
+				}
+				open = append(open, nil)
+			case xmlparser.KindEndElement:
+				out = append(out, open[len(open)-1])
+				open = open[:len(open)-1]
+			}
+		}
+		out = append(out, open...)
+	}
+	return out
+}
+
+// nfaMatch is Glushkov.Match computed on the NFA stepper.
+func nfaMatch(g *contentmodel.Glushkov, seq []contentmodel.Symbol) ([]*contentmodel.Leaf, *contentmodel.MatchError) {
+	r := g.StartNFA()
+	var leaves []*contentmodel.Leaf
+	for _, s := range seq {
+		leaf, err := r.Step(s)
+		if err != nil {
+			return nil, err
+		}
+		leaves = append(leaves, leaf)
+	}
+	if err := r.End(); err != nil {
+		return nil, err
+	}
+	return leaves, nil
+}
+
+// diffSequences feeds every sequence to every automaton twice (building,
+// then memoized DFA states), comparing the DFA-backed run with the NFA
+// stepper step by step and Match with the NFA's batch result. It returns
+// how many automata had a DFA attached.
+func diffSequences(t *testing.T, models []*contentmodel.Glushkov, seqs [][]contentmodel.Symbol) int {
+	t.Helper()
+	enabled := 0
+	for _, g := range models {
+		if g.DFAEnabled() {
+			enabled++
+		}
+		for pass := 0; pass < 2; pass++ {
+			for _, seq := range seqs {
+				diffRun(t, t.Name(), g.Start(), g.StartNFA(), seq)
+				leaves, err := g.Match(seq)
+				nleaves, nerr := nfaMatch(g, seq)
+				if (err == nil) != (nerr == nil) || (err != nil && (err.Error() != nerr.Error() || err.Index != nerr.Index)) {
+					t.Fatalf("Match %v: dfa err=%v nfa err=%v", seq, err, nerr)
+				}
+				for i := range nleaves {
+					if leaves[i] != nleaves[i] {
+						t.Fatalf("Match %v: leaf %d diverged", seq, i)
+					}
+				}
+			}
+		}
+	}
+	return enabled
+}
+
+// TestValidatorDFAParity drives the automata every validator walk steps
+// (the schema's ComplexType.Matcher models) with the sibling sequences of
+// the differential corpus (the E8 diffCases: every bundled schema with
+// valid, invalid and malformed instances). Each sequence goes to every
+// model of its schema, so most runs reject; DFA and NFA must agree on
+// every step, every leaf and every error.
 func TestValidatorDFAParity(t *testing.T) {
+	enabled := 0
 	for _, tc := range diffCases {
 		t.Run(tc.name, func(t *testing.T) {
 			schema, err := xsd.ParseString(tc.xsdSrc, nil)
 			if err != nil {
 				t.Fatalf("schema: %v", err)
 			}
-			vdfa := validator.New(schema, nil)
-			vnfa := validator.New(schema, &validator.Options{DisableDFA: true})
-			svdfa := vdfa.Stream()
-			svnfa := vnfa.Stream()
-			for label, src := range tc.instances {
-				assertSameResult(t, label+" (stream)",
-					svnfa.ValidateBytes([]byte(src)), svdfa.ValidateBytes([]byte(src)))
-				doc, perr := dom.Parse([]byte(src))
-				if perr != nil {
-					continue // malformed input: no DOM path to compare
-				}
-				assertSameResult(t, label+" (dom)",
-					vnfa.ValidateDocument(doc), vdfa.ValidateDocument(doc))
-				doc.Release()
+			seqs := instanceSequences(tc.instances)
+			if len(seqs) == 0 {
+				t.Fatal("no sibling sequences in the instances")
 			}
+			enabled += diffSequences(t, schemaGlushkovs(t, schema), seqs)
 		})
+	}
+	if enabled == 0 {
+		t.Fatal("no content model had the DFA enabled — test is vacuous")
 	}
 }
 
-// TestValidatorDFABudgetParity repeats the corpus with a pathologically
-// small DFA state budget so the mid-document fallback path is exercised
-// end to end.
+// TestValidatorDFABudgetParity repeats the corpus on freshly compiled
+// automata whose DFA may memoize only two states, so the mid-run fallback
+// to NFA stepping is exercised on every longer sequence.
 func TestValidatorDFABudgetParity(t *testing.T) {
 	for _, tc := range diffCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -232,12 +319,17 @@ func TestValidatorDFABudgetParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("schema: %v", err)
 			}
-			vtiny := validator.New(schema, &validator.Options{DFAStateBudget: 2})
-			vnfa := validator.New(schema, &validator.Options{DisableDFA: true})
-			for label, src := range tc.instances {
-				assertSameResult(t, label+" (budget=2 stream)",
-					vnfa.Stream().ValidateBytes([]byte(src)),
-					vtiny.Stream().ValidateBytes([]byte(src)))
+			var models []*contentmodel.Glushkov
+			for _, ct := range schemaComplexTypes(schema) {
+				g, err := contentmodel.CompileGlushkov(schema.CompileParticle(ct.Particle))
+				if err != nil {
+					continue // interpreter-compiled: no automaton to test
+				}
+				g.EnableDFA(contentmodel.NewInterner(), 2)
+				models = append(models, g)
+			}
+			if diffSequences(t, models, instanceSequences(tc.instances)) == 0 {
+				t.Fatal("no content model had the DFA enabled — test is vacuous")
 			}
 		})
 	}

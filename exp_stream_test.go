@@ -8,6 +8,7 @@ package repro
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -319,5 +320,45 @@ func TestStreamMatchesDOMOnGeneratedMutants(t *testing.T) {
 	}
 	if mutants < 50 {
 		t.Errorf("mutation engine produced only %d mutants; expected a broad corpus", mutants)
+	}
+}
+
+// bytesPerRun is the mean heap bytes f allocates per call.
+func bytesPerRun(runs int, f func()) uint64 {
+	f() // warm pools and the schema's automata
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestStreamAllocCeiling holds the streaming path's memory claim: it
+// builds no tree, so on a 1000-item purchase order it must allocate less
+// than parsing the DOM and validating it.
+func TestStreamAllocCeiling(t *testing.T) {
+	schema := poSchema(t)
+	src := largePOSource(1000)
+	v := validator.New(schema, nil)
+	sv := v.Stream()
+	stream := bytesPerRun(5, func() {
+		if res := sv.ValidateBytes(src); !res.OK() {
+			t.Fatal(res.Err())
+		}
+	})
+	viaDOM := bytesPerRun(5, func() {
+		doc, err := dom.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := v.ValidateDocument(doc); !res.OK() {
+			t.Fatal(res.Err())
+		}
+	})
+	t.Logf("1000-item PO: stream %d B/op, dom.Parse+ValidateDocument %d B/op", stream, viaDOM)
+	if stream >= viaDOM {
+		t.Errorf("stream path allocates %d B/op, not below the DOM path's %d B/op", stream, viaDOM)
 	}
 }

@@ -58,9 +58,9 @@
 // Glushkov.Match and Interp.Match keep per-call state on the stack, and
 // the lazy DFA fills its transition table under an internal mutex with
 // atomically published edges, so a single matcher instance may serve any
-// number of concurrent Match calls and Runs — the property the
-// validator's per-Validator model cache and the xsd package's
-// once-guarded Matcher rely on. EnableDFA itself must happen before the
+// number of concurrent Match calls and Runs — the property the xsd
+// package's once-guarded Matcher, shared by every validator walk, relies
+// on. EnableDFA itself must happen before the
 // matcher is shared (the compile paths call it). A Run is single-owner
 // and must not be shared or interleaved between validation frames; after
 // reporting an error it panics on further use until Reset.

@@ -67,8 +67,8 @@ type Entry struct {
 	Stream    *validator.StreamValidator
 	// Binder decodes documents against this schema version into typed
 	// values / canonical JSON and marshals them back. It shares Validator
-	// (and therefore its warm compiled-model cache), and is immutable like
-	// the rest of the entry.
+	// (and the schema's warm compiled models), and is immutable like the
+	// rest of the entry.
 	Binder *bind.Binder
 }
 

@@ -11,10 +11,9 @@ import (
 // ValidateBatch validates every document concurrently through a bounded
 // worker pool and returns one Result per document, index-aligned with
 // docs. The pool size is Options.Parallelism (defaulting to
-// runtime.GOMAXPROCS(0)); all workers share this Validator's compiled
-// content-model cache, so a schema's automata are built at most once for
-// the whole batch. Nil documents yield a Result with a single violation
-// rather than a panic.
+// runtime.GOMAXPROCS(0)); all workers step the schema's compiled
+// automata, built at most once per type. Nil documents yield a Result
+// with a single violation rather than a panic.
 //
 // This is the bulk path for the ROADMAP's repeated same-schema workload:
 // xsdcheck uses it to validate its file arguments in parallel.

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/dom"
 	"repro/internal/schemas"
+	"repro/internal/xsd"
 )
 
 // TestConcurrentValidation drives one shared Validator from many
@@ -63,9 +64,9 @@ func TestConcurrentValidation(t *testing.T) {
 	}
 }
 
-// TestModelCacheCompilesOnce proves the tentpole claim: no matter how many
-// concurrent runs exercise the same complex types, each type's content
-// model compiles exactly once per Validator.
+// TestModelCacheCompilesOnce proves that no matter how many concurrent
+// runs exercise the same complex types, each type's content model
+// compiles exactly once per schema.
 func TestModelCacheCompilesOnce(t *testing.T) {
 	v := poValidator(t)
 	doc, err := dom.ParseString(schemas.PurchaseOrderDoc)
@@ -95,6 +96,43 @@ func TestModelCacheCompilesOnce(t *testing.T) {
 	v.ValidateDocument(doc)
 	if got := v.CompiledModels(); got != first {
 		t.Errorf("revalidation recompiled models: %d -> %d", first, got)
+	}
+}
+
+// TestPackageEntryPointsReuseModels checks that the one-shot package
+// functions, which build a fresh Validator per call, reuse the schema's
+// compiled content models instead of recompiling them, and so cost no
+// more than a warm Validator.
+func TestPackageEntryPointsReuseModels(t *testing.T) {
+	s, err := xsd.ParseString(schemas.PurchaseOrderXSD, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := []byte(schemas.PurchaseOrderDoc)
+	for name, call := range map[string]func() *Result{
+		"ValidateBytes":         func() *Result { _, res := ValidateBytes(s, src); return res },
+		"ParallelValidateBytes": func() *Result { _, res := ParallelValidateBytes(s, src, 2); return res },
+	} {
+		if res := call(); !res.OK() {
+			t.Fatalf("%s: %v", name, res.Err())
+		}
+		before := s.CompiledModels()
+		call()
+		if n := s.CompiledModels() - before; n != 0 {
+			t.Errorf("%s: second call compiled %d content models, want 0", name, n)
+		}
+	}
+	v := New(s, nil)
+	warm := testing.AllocsPerRun(20, func() {
+		doc, err := dom.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.ValidateDocument(doc)
+	})
+	oneShot := testing.AllocsPerRun(20, func() { ValidateBytes(s, src) })
+	if oneShot > warm+5 {
+		t.Errorf("ValidateBytes: %.0f allocs/op, want within 5 of warm dom.Parse+ValidateDocument's %.0f", oneShot, warm)
 	}
 }
 

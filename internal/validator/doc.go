@@ -18,6 +18,23 @@
 // that everything the typed V-DOM API (package vdom) can express
 // marshals to a valid document.
 //
+// # One set of rules
+//
+// Four walks reach an element: the DOM recursion (ValidateDocument), the
+// token-driven frame stack (StreamValidator), parallel sub-runs
+// (ParallelValidate) and generated validators (through Sink). They differ
+// only in how they see the element; what makes it valid is decided once,
+// in rules.go: the governing type (xsi:type, abstract, xsi:nil), the
+// attribute set, simple content, QName resolution, indexed child paths and
+// the child dispatch (substitution groups, lax wildcards). Every walk keeps
+// a document's ID/IDREF state in one idTable type (ids.go), whose journal
+// lets the stream roll back the IDs of children a failed content model
+// disowns and lets parallel sub-runs be joined at their seams. Content
+// models come from the schema: xsd.ComplexType.Matcher compiles each
+// complex type once into a Glushkov automaton with a lazy DFA (at most
+// contentmodel.DefaultDFABudget states, NFA stepping past it), shared by
+// every Validator, walk and goroutine over that schema.
+//
 // # Streaming entry points
 //
 // Validator.Stream returns a StreamValidator, which decides validity
@@ -28,15 +45,14 @@
 // ValidateReaderContext is the cancellable form — it checks the context
 // between token batches and returns (nil, ctx.Err()) on expiry, the
 // same contract as ValidateBatchContext; servers use it to stop
-// validating when a request's deadline fires mid-stream. Both drive
-// the same cached Glushkov automata as the DOM path through an explicit
-// element/automaton-state stack and reproduce ValidateDocument's
-// verdicts, violation order and messages exactly (held by the
-// TestStreamMatchesDOM differential suite). Subtrees the streaming pass
-// cannot decide incrementally — identity constraints, or content models
-// compiled to the backtracking interpreter — are buffered privately and
-// degrade to the recursive DOM path. cmd/xsdcheck exposes the streaming
-// path as -stream.
+// validating when a request's deadline fires mid-stream. It steps the
+// same automata as the DOM path through an explicit element/automaton-
+// state stack and reproduces ValidateDocument's verdicts, violation order
+// and messages exactly (held by the TestStreamMatchesDOM differential
+// suite). Subtrees the streaming pass cannot decide incrementally —
+// identity constraints, or content models compiled to the backtracking
+// interpreter — are buffered privately and degrade to the recursive DOM
+// path. cmd/xsdcheck exposes the streaming path as -stream.
 //
 // # Intra-document parallelism
 //
@@ -44,29 +60,23 @@
 // GOMAXPROCS-bounded worker pool at sibling-subtree boundaries: the
 // walk descends until it finds a level with at least ParallelMinFanout
 // children, fans contiguous chunks of that level out to workers running
-// the ordinary cached-DFA walk, and joins the document-global state —
-// ordered violations, first-wins ID semantics, IDREF resolution — at
-// the seams via per-sub-run ID journals (see parallel.go). The verdict
-// is byte-identical to ValidateDocument's, enforced by differential
-// tests and FuzzParallelValidate; documents that reach the violation
-// cap fall back to a sequential rerun. cmd/xsdcheck exposes it as
-// -parallel, xsdserved as ?parallel=1 (size-gated).
+// the ordinary walk, and joins the document-global state — ordered
+// violations, first-wins ID semantics, IDREF resolution — at the seams
+// (see parallel.go). The verdict is byte-identical to ValidateDocument's,
+// enforced by differential tests and FuzzParallelValidate; documents that
+// reach the violation cap fall back to a sequential rerun. cmd/xsdcheck
+// exposes it as -parallel, xsdserved as ?parallel=1 (size-gated).
 //
 // # Concurrency
 //
 // A Validator is safe for concurrent use by multiple goroutines and is
 // intended to be shared: all mutable per-run state is private to each
-// call, and compiled content models are memoized per complex type in a
-// lock-free cache (sync.Map of sync.Once entries) for the Validator's
-// lifetime, so each automaton is built exactly once no matter how many
-// goroutines validate at once. Cached entries are never invalidated —
-// the schema is immutable once resolved. ValidateBatch fans a document
-// slice out over a bounded worker pool (Options.Parallelism, default
-// GOMAXPROCS) on top of the same shared cache. A StreamValidator holds
-// no per-run state either: it shares only the parent Validator's
-// immutable schema and thread-safe model cache, so one StreamValidator
-// may serve any number of goroutines, interleaved freely with DOM-path
-// runs on the same Validator (asserted under -race by
-// TestStreamConcurrent). Documents are only read; callers must not
-// mutate a document while it is being validated.
+// call, and the compiled content models live on the immutable schema,
+// built under a per-type sync.Once. ValidateBatch fans a document slice
+// out over a bounded worker pool (Options.Parallelism, default
+// GOMAXPROCS). A StreamValidator holds no per-run state either, so one
+// StreamValidator may serve any number of goroutines, interleaved freely
+// with DOM-path runs on the same Validator (asserted under -race by
+// TestStreamConcurrent). Documents are only read; callers must not mutate
+// a document while it is being validated.
 package validator

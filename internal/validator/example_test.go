@@ -19,9 +19,9 @@ const exampleXSD = `<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
   </xsd:complexType>
 </xsd:schema>`
 
-// ExampleNew builds one Validator and reuses it: the second run hits the
-// compiled content-model cache instead of recompiling the schema's
-// automata.
+// ExampleNew builds one Validator and reuses it: the second run reuses
+// the content models the schema compiled for the first instead of
+// recompiling them.
 func ExampleNew() {
 	schema, err := xsd.ParseString(exampleXSD, nil)
 	if err != nil {

@@ -23,11 +23,9 @@ type Sink struct {
 	r run
 }
 
-// NewSink begins a generated validation run backed by v's schema, options
-// and compiled-model cache.
-func NewSink(v *Validator) *Sink {
-	return &Sink{r: run{v: v, ids: map[string]string{}}}
-}
+// NewSink begins a generated validation run backed by v's schema and
+// options.
+func NewSink(v *Validator) *Sink { return &Sink{r: run{checker: newChecker(v, false)}} }
 
 // Violate records one violation (capped like the interpreted walk).
 func (s *Sink) Violate(path, msg string) { s.r.violate(path, msg) }
@@ -56,32 +54,17 @@ func (s *Sink) IdentityConstraints(el *dom.Element, decl *xsd.ElementDecl, path 
 // TrackID records an ID value (uniqueness-checked); TrackIDRef and
 // TrackIDRefs record pending references. All three are no-ops when the
 // run's Options.SkipIDChecks is set, like the interpreted walk.
-func (s *Sink) TrackID(lexical, path string) {
-	if s.r.v.opts.SkipIDChecks {
-		return
-	}
-	s.r.trackID(lexical, path)
-}
+func (s *Sink) TrackID(lexical, path string) { s.r.ids.add("ID", lexical, path, &s.r.res.Violations) }
 
 // TrackIDRef records one pending IDREF.
-func (s *Sink) TrackIDRef(lexical, path string) {
-	if s.r.v.opts.SkipIDChecks {
-		return
-	}
-	s.r.trackIDRef(lexical, path)
-}
+func (s *Sink) TrackIDRef(lexical, path string) { s.r.ids.add("IDREF", lexical, path, nil) }
 
 // TrackIDRefs records the whitespace-separated references of an IDREFS
 // value.
-func (s *Sink) TrackIDRefs(lexical, path string) {
-	if s.r.v.opts.SkipIDChecks {
-		return
-	}
-	s.r.trackIDRefs(lexical, path)
-}
+func (s *Sink) TrackIDRefs(lexical, path string) { s.r.ids.add("IDREFS", lexical, path, nil) }
 
 // CheckIDRefs resolves collected IDREFs against seen IDs (document end).
-func (s *Sink) CheckIDRefs() { s.r.checkIDRefs() }
+func (s *Sink) CheckIDRefs() { s.r.ids.resolve(&s.r.res.Violations) }
 
 // Result returns the run's verdict. The Sink retains the Result; callers
 // must not validate another document through the same Sink.
@@ -89,7 +72,7 @@ func (s *Sink) Result() *Result { return &s.r.res }
 
 // IsMetaAttr reports whether an attribute is namespace/xsi/xml machinery
 // that validation ignores.
-func IsMetaAttr(a *dom.Attr) bool { return isMetaAttr(a) }
+func IsMetaAttr(a *dom.Attr) bool { return isMetaName(a.Name()) }
 
 // ChildPath appends a child step to a path, as content-model match errors
 // locate the offending child.
@@ -98,7 +81,8 @@ func ChildPath(path string, child *dom.Element) string { return childPath(path, 
 // ChildPathIndexed appends a child step with the 1-based positional
 // predicate the interpreted walk uses for repeated siblings.
 func ChildPathIndexed(path string, child *dom.Element, counts map[string]int) string {
-	return childPathIndexed(path, child, counts)
+	counts[child.TagName()]++
+	return indexedStep(path, child.TagName(), counts[child.TagName()])
 }
 
 // Snippet truncates character data for error messages.

@@ -10,7 +10,7 @@ package validator
 // argument of Abiteboul et al.'s Distributed XML Design — a subtree can
 // be validated against its inferred type in isolation, with only a
 // bounded interface joined at the seam — ParallelValidate fans sibling
-// subtrees out to a worker pool running the ordinary cached-DFA walk. The
+// subtrees out to a worker pool running the ordinary walk. The
 // walk descends sequentially until it reaches a level with enough fan-out
 // to feed the pool (ParallelMinFanout siblings — the root's depth-1
 // children in a wide document, or e.g. the 30k <item> children of
@@ -19,13 +19,14 @@ package validator
 //
 //   - violations: each subtree's violations are contiguous in document
 //     order, so the join is concatenation in child order;
-//   - IDs: each sub-run journals its ID events (insertions and local
-//     duplicates) in subtree order with the violation index they map to.
-//     The join replays the journals in child order against the global
-//     map: an insertion colliding with an earlier subtree's ID becomes a
-//     duplicate violation spliced in at the journaled index, and local
-//     duplicate messages are rewritten to cite the globally first
-//     declaration — exactly what the sequential walk would have said;
+//   - IDs: each sub-run keeps a journaled ID table (idTable), logging
+//     its ID events (insertions and local duplicates) in subtree order
+//     with the violation index they map to. The join replays the
+//     journals in child order against the document's table: an insertion
+//     colliding with an earlier subtree's ID becomes a duplicate
+//     violation spliced in at the journaled index, and local duplicate
+//     messages are rewritten to cite the globally first declaration —
+//     exactly what the sequential walk would have said;
 //   - IDREFs: pending references concatenate in child order and resolve
 //     against the joined map, preserving emission order.
 //
@@ -42,7 +43,6 @@ package validator
 // (FuzzParallelValidate).
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -51,18 +51,6 @@ import (
 	"repro/internal/dom"
 	"repro/internal/xsd"
 )
-
-// idEvent is one journaled ID occurrence inside a parallel sub-run.
-type idEvent struct {
-	id   string // whitespace-normalized ID value
-	path string // document path of this occurrence
-	// vioIdx is len(res.Violations) at event time: where a spliced-in
-	// duplicate violation belongs, or where the local duplicate landed.
-	vioIdx int
-	// dup marks a duplicate within the sub-run (a violation was emitted
-	// citing the sub-run's first declaration; the join rewrites it).
-	dup bool
-}
 
 // ParallelValidate validates like ValidateDocument, splitting the work at
 // sibling-subtree boundaries across a worker pool (see the package-level
@@ -82,26 +70,14 @@ func (v *Validator) ParallelValidate(doc *dom.Document, workers int) *Result {
 		// keep them on the deterministic sequential walk.
 		return v.ValidateDocument(doc)
 	}
-	run := &run{v: v, ids: map[string]string{}, parWorkers: workers}
-	root := doc.DocumentElement()
-	if root == nil {
-		run.violate("/", "document has no root element")
-		return &run.res
+	r := v.newRun()
+	r.parWorkers = workers
+	if res := r.document(doc); len(res.Violations) < maxViolations {
+		return res
 	}
-	name := xsd.QName{Space: root.NamespaceURI(), Local: root.LocalName()}
-	decl, ok := v.schema.LookupElement(name)
-	if !ok {
-		run.violate("/"+root.TagName(), fmt.Sprintf("no global declaration for root element %s", name))
-		return &run.res
-	}
-	run.element(root, decl, "/"+root.TagName())
-	run.checkIDRefs()
-	if len(run.res.Violations) >= maxViolations {
-		// The sequential walk stops descending at the violation cap, so
-		// everything past it depends on global order; rerun sequentially.
-		return v.ValidateDocument(doc)
-	}
-	return &run.res
+	// The sequential walk stops descending at the violation cap, so
+	// everything past it depends on global order; rerun sequentially.
+	return v.ValidateDocument(doc)
 }
 
 // ParallelMinFanout is the child count below which a level is walked
@@ -120,10 +96,10 @@ func (r *run) parallelChildren(children []*dom.Element, leaves []*contentmodel.L
 	}
 	// Child paths are order-dependent (positional predicates count per
 	// tag name); compute them up front, sequentially.
-	counts := map[string]int{}
+	var counts childCounts
 	cpaths := make([]string, len(children))
 	for i, child := range children {
-		cpaths[i] = childPathIndexed(path, child, counts)
+		cpaths[i] = counts.path(path, child.TagName())
 	}
 	// A few chunks per worker so an expensive subtree doesn't leave the
 	// other workers idle at the end of the level.
@@ -147,71 +123,21 @@ func (r *run) parallelChildren(children []*dom.Element, leaves []*contentmodel.L
 				if c >= nchunks {
 					return
 				}
-				sub := &run{v: r.v, ids: map[string]string{}, journaling: true}
+				sub := &run{checker: newChecker(r.v, true)}
 				subs[c] = sub
-				hi := (c + 1) * chunk
-				if hi > len(children) {
-					hi = len(children)
-				}
-				for i := c * chunk; i < hi; i++ {
-					child := children[i]
-					switch data := leaves[i].Data.(type) {
-					case *xsd.ElementDecl:
-						resolved, err := r.v.schema.ResolveChild(data, xsd.QName{Space: child.NamespaceURI(), Local: child.LocalName()})
-						if err != nil {
-							sub.violate(cpaths[i], err.Error())
-							continue
-						}
-						sub.element(child, resolved, cpaths[i])
-					case *contentmodel.Wildcard:
-						// Lax wildcard processing, as in the sequential walk.
-						name := xsd.QName{Space: child.NamespaceURI(), Local: child.LocalName()}
-						if gdecl, ok := r.v.schema.LookupElement(name); ok {
-							sub.element(child, gdecl, cpaths[i])
-						}
-					}
+				for i := c * chunk; i < min((c+1)*chunk, len(children)); i++ {
+					sub.child(children[i], leaves[i], cpaths[i])
 				}
 			}
 		}()
 	}
 	wg.Wait()
 	for _, sub := range subs {
-		r.joinSubRun(sub)
+		// Append without the cap: ParallelValidate checks the joined
+		// total and falls back to the sequential walk.
+		r.res.Violations = append(r.res.Violations, r.ids.join(sub.ids, sub.res.Violations)...)
 	}
 	return true
-}
-
-// joinSubRun merges one child sub-run into the parent in document order,
-// replaying its ID journal against the global map.
-func (r *run) joinSubRun(sub *run) {
-	viols := sub.res.Violations
-	inserted := 0
-	for _, ev := range sub.journal {
-		if ev.dup {
-			// A duplicate within the subtree cited the subtree's first
-			// declaration; the globally first one may be elsewhere.
-			if idx := ev.vioIdx + inserted; idx < len(viols) {
-				viols[idx].Msg = fmt.Sprintf("duplicate ID %q (first declared at %s)", ev.id, r.ids[ev.id])
-			}
-			continue
-		}
-		if first, dup := r.ids[ev.id]; dup {
-			// Cross-seam duplicate: sequentially this insertion would
-			// have been a violation at exactly this point.
-			nv := Violation{Path: ev.path, Msg: fmt.Sprintf("duplicate ID %q (first declared at %s)", ev.id, first)}
-			idx := ev.vioIdx + inserted
-			viols = append(viols, Violation{})
-			copy(viols[idx+1:], viols[idx:])
-			viols[idx] = nv
-			inserted++
-		} else {
-			r.ids[ev.id] = ev.path
-		}
-	}
-	// Append without the violate() cap: the caller detects cap overflow
-	// on the joined total and falls back to the sequential walk.
-	r.res.Violations = append(r.res.Violations, viols...)
-	r.idrefs = append(r.idrefs, sub.idrefs...)
 }
 
 // ParallelValidateBytes parses and validates in one step like

@@ -2,7 +2,7 @@ package validator
 
 // Streaming validation: the paper's §5–6 pipeline compiles content models
 // to Glushkov automata precisely so validity can be decided incrementally.
-// StreamValidator drives those cached automata directly off the token
+// StreamValidator drives those automata directly off the token
 // stream with an explicit element/automaton-state stack — O(depth) memory,
 // no DOM allocation — while reproducing ValidateDocument's verdicts and
 // messages exactly.
@@ -17,26 +17,23 @@ package validator
 //     attribute, text and child violations separately and assembles them
 //     in DOM emission order at its end tag; a content-model failure drops
 //     the buffered child violations wholesale.
-//   - an ID journal: every insertion into the document-wide ID map is
-//     journaled, and each frame records a high-water mark after its own
-//     attributes; on content-model failure the IDs (and pending IDREFs)
-//     recorded past the mark are rolled back. Between a frame's mark and
-//     its failure only to-be-dropped descendants run, so rollback restores
-//     exactly the state the DOM validator would have.
+//   - a journaled ID table (idTable): each frame marks the table after its
+//     own attributes, and on content-model failure the IDs and pending
+//     IDREFs recorded past the mark are rolled back. Between a frame's
+//     mark and its failure only to-be-dropped descendants run, so rollback
+//     restores exactly the state the DOM validator would have.
 //
 // Elements the streaming path cannot decide incrementally — identity
 // constraints (which need the whole subtree) and content models compiled
 // to the backtracking interpreter (contentmodel.ErrTooComplex) — degrade
 // gracefully: their subtree is buffered into a private DOM fragment and
-// validated by the ordinary recursive path, sharing the global ID state.
+// validated by the ordinary recursive path with the stream's ID table.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"repro/internal/contentmodel"
 	"repro/internal/dom"
@@ -49,15 +46,13 @@ import (
 // Obtain one with Validator.Stream. It holds no per-run state, so a single
 // StreamValidator (like its parent Validator) is safe for concurrent use:
 // each ValidateReader/ValidateBytes call allocates a private run and
-// shares only the Validator's immutable schema and thread-safe model
-// cache.
+// shares only the Validator's immutable schema.
 type StreamValidator struct {
 	v *Validator
 }
 
-// Stream returns a streaming front-end over the validator. The returned
-// StreamValidator shares v's compiled-model cache, so automata built by
-// either path are reused by both.
+// Stream returns a streaming front-end over the validator. Both paths step
+// the schema's compiled automata (xsd.ComplexType.Matcher).
 func (v *Validator) Stream() *StreamValidator { return &StreamValidator{v: v} }
 
 // ValidateReader validates a document read incrementally from r. Memory
@@ -69,7 +64,7 @@ func (sv *StreamValidator) ValidateReader(r io.Reader) *Result {
 	return res
 }
 
-// ValidateReaderContext is ValidateReader with cancellation, mirroring
+// ValidateReaderContext is ValidateReader with cancellation, with
 // ValidateBatchContext's semantics: when ctx is cancelled the run stops
 // at the next token boundary, the partial verdict is discarded (a prefix
 // proves nothing about the document) and the returned error is ctx.Err().
@@ -106,8 +101,12 @@ func (sv *StreamValidator) validate(ctx context.Context, dec *xmlparser.Decoder,
 		default:
 		}
 	}
-	sr := &streamRun{v: sv.v, ids: map[string]string{}, events: ev}
+	sr := &streamRun{checker: newChecker(sv.v, true), events: ev}
 	sinceCheck := 0
+	// tok is declared once: the loop hands its address to sr.token, so a
+	// per-iteration declaration would move every token to the heap.
+	var tok xmlparser.Token
+	var err error
 	for {
 		if done != nil {
 			if sinceCheck++; sinceCheck >= ctxCheckEvery {
@@ -119,7 +118,7 @@ func (sv *StreamValidator) validate(ctx context.Context, dec *xmlparser.Decoder,
 				}
 			}
 		}
-		tok, err := dec.Next()
+		tok, err = dec.Next()
 		if err == io.EOF {
 			break
 		}
@@ -131,7 +130,7 @@ func (sv *StreamValidator) validate(ctx context.Context, dec *xmlparser.Decoder,
 		}
 		sr.token(&tok)
 	}
-	sr.finish()
+	sr.ids.resolve(&sr.res.Violations)
 	return &sr.res, nil
 }
 
@@ -164,13 +163,11 @@ type frame struct {
 	failed      bool
 
 	sawElemChild bool
-	textBuf      []byte   // accumulated character data (fmSimple/fmCSimple)
-	plainAttrs   []string // fmSimple: non-meta attribute names for checkNoAttributes
+	textBuf      []byte // accumulated character data (fmSimple/fmCSimple)
 
-	counts  []childCount // child tag -> occurrences, for indexed paths
-	idMark  int          // ID journal mark after own attributes
-	refMark int          // pending-IDREF mark
-	nsMark  int          // namespace-binding stack mark
+	counts childCounts // child paths
+	ids    idMark      // ID table after own attributes
+	nsMark int         // namespace-binding stack mark
 
 	// Event-observer bookkeeping: announced marks frames whose OpenElement
 	// was delivered (and so owe a CloseElement); wild marks wildcard-
@@ -190,27 +187,19 @@ type frame struct {
 	pooled bool
 }
 
-// childCount tracks occurrences of one child tag under a frame; the small
-// linear list replaces a per-frame map (few distinct tags per element).
-type childCount struct {
-	tag string
-	n   int
-}
-
 // reset re-initializes a recycled frame, keeping the capacity of its
 // buffers (and the automaton run's internal state) for reuse.
 func (f *frame) reset(path string, decl *xsd.ElementDecl, nsMark int) {
 	run := f.run
 	attrViols, textViols, childViols := f.attrViols[:0], f.textViols[:0], f.childViols[:0]
-	plainAttrs, counts, textBuf := f.plainAttrs[:0], f.counts[:0], f.textBuf[:0]
+	textBuf := f.textBuf[:0]
 	*f = frame{path: path, decl: decl, nsMark: nsMark,
 		run: run, attrViols: attrViols, textViols: textViols,
-		childViols: childViols, plainAttrs: plainAttrs, counts: counts, textBuf: textBuf}
+		childViols: childViols, textBuf: textBuf}
 }
 
 // nsBinding is one in-scope namespace declaration. name is "xmlns" for the
-// default namespace and the prefix otherwise — the same keys the DOM
-// validator's ancestor walk uses.
+// default namespace and the prefix otherwise, the keys parseQName looks up.
 type nsBinding struct {
 	name string
 	uri  string
@@ -218,7 +207,7 @@ type nsBinding struct {
 
 // streamRun is one streaming validation pass.
 type streamRun struct {
-	v   *Validator
+	checker
 	res Result
 
 	frames    []*frame
@@ -232,14 +221,7 @@ type streamRun struct {
 	events  StreamEvents
 	rawSkip bool
 
-	ns       []nsBinding
-	attrSeen []xsd.QName // scratch for attributes()
-
-	// Document-wide ID state, shared with fallback sub-runs. idJournal
-	// records insertions so failed subtrees can be rolled back.
-	ids       map[string]string
-	idJournal []string
-	idrefs    []pendingRef
+	ns []nsBinding
 }
 
 func (sr *streamRun) top() *frame {
@@ -273,16 +255,6 @@ func (sr *streamRun) recycle(f *frame) {
 	sr.free = append(sr.free, f)
 }
 
-func (sr *streamRun) emit(v Violation) {
-	if len(sr.res.Violations) < maxViolations {
-		sr.res.Violations = append(sr.res.Violations, v)
-	}
-}
-
-// skip marks the current start tag's subtree as unvalidated. The matching
-// (possibly synthesized) end tag rebalances the counter.
-func (sr *streamRun) skip() { sr.skipDepth = 1 }
-
 // token dispatches one parse event.
 func (sr *streamRun) token(tok *xmlparser.Token) {
 	if sr.skipDepth > 0 {
@@ -315,9 +287,8 @@ func (sr *streamRun) token(tok *xmlparser.Token) {
 	case xmlparser.KindComment, xmlparser.KindProcInst:
 		// Comments and PIs are DOM child nodes: they violate only the
 		// "nilled element must be empty" rule.
-		if f := sr.top(); f != nil && f.mode == fmNilled && !f.failed {
-			f.failed = true
-			f.contentViol = &Violation{Path: f.path, Msg: "nilled element must be empty"}
+		if f := sr.top(); f != nil && f.mode == fmNilled {
+			f.setFailed(msgNilled)
 		}
 	}
 }
@@ -329,107 +300,138 @@ func (sr *streamRun) startElement(tok *xmlparser.Token) {
 			sr.ns = append(sr.ns, nsBinding{name: a.Name.Local, uri: a.Value})
 		}
 	}
-	if len(sr.frames) == 0 {
+	parent := sr.top()
+	if parent == nil {
 		if sr.rootDone {
-			sr.ns = sr.ns[:nsMark]
-			sr.skip()
+			sr.skipChild(nsMark)
 			return
 		}
-		name := xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local}
-		decl, ok := sr.v.schema.LookupElement(name)
-		if !ok {
-			sr.emit(Violation{Path: "/" + tok.Name.Qualified(), Msg: fmt.Sprintf("no global declaration for root element %s", name)})
+		decl, fail := sr.v.rootDecl(tok.Name)
+		if decl == nil {
+			report(&sr.res.Violations, "/"+tok.Name.Qualified(), fail)
 			sr.rootDone = true
-			sr.ns = sr.ns[:nsMark]
-			sr.skip()
+			sr.skipChild(nsMark)
 			return
 		}
-		sr.openFrame(tok, decl, "/"+tok.Name.Qualified(), nsMark)
+		sr.pushFrame(tok, decl, "/"+tok.Name.Qualified(), nsMark, false)
 		return
 	}
-	parent := sr.top()
 	switch parent.mode {
 	case fmModel:
 		if parent.failed {
-			sr.skipChild(nsMark)
-			return
+			break
 		}
 		leaf, merr := parent.run.Step(contentmodel.Symbol{Space: tok.Name.Space, Local: tok.Name.Local})
 		if merr != nil {
-			// The DOM validator reports the match error against the
-			// failing child and validates no children at all: drop the
-			// buffered child violations and roll back their IDs.
-			parent.failed = true
-			parent.contentViol = &Violation{Path: parent.path + "/" + tok.Name.Qualified(), Msg: merr.Error()}
-			parent.childViols = nil
-			sr.rollbackTo(parent)
-			sr.skipChild(nsMark)
-			return
+			sr.rejectContent(parent, parent.path+"/"+tok.Name.Qualified(), merr.Error())
+			break
 		}
-		cpath := parent.indexedChildPath(tok.Name.Qualified())
-		switch data := leaf.Data.(type) {
-		case *xsd.ElementDecl:
-			resolved, err := sr.v.schema.ResolveChild(data, xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local})
-			if err != nil {
-				parent.childViols = append(parent.childViols, Violation{Path: cpath, Msg: err.Error()})
-				sr.skipChild(nsMark)
-				return
-			}
-			sr.openFrame(tok, resolved, cpath, nsMark)
-		case *contentmodel.Wildcard:
-			// Lax wildcard processing: validate when a global
-			// declaration exists, accept otherwise.
-			if gdecl, ok := sr.v.schema.LookupElement(xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local}); ok {
-				sr.openWildFrame(tok, gdecl, cpath, nsMark)
-			} else {
-				if sr.events != nil {
-					// Deliver the unvalidated subtree raw, starting with
-					// this start tag.
-					sr.events.RawToken(tok)
-					sr.rawSkip = true
-				}
-				sr.skipChild(nsMark)
-			}
-		default:
-			sr.skipChild(nsMark)
+		cpath := parent.counts.path(parent.path, tok.Name.Qualified())
+		decl, wild, err := sr.v.childDecl(leaf, xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local})
+		if err != nil {
+			report(&parent.childViols, cpath, err.Error())
+		} else if decl != nil {
+			sr.pushFrame(tok, decl, cpath, nsMark, wild)
+			return
+		} else if wild && sr.events != nil {
+			// Deliver the unvalidated subtree raw, starting with this
+			// start tag.
+			sr.events.RawToken(tok)
+			sr.rawSkip = true
 		}
 	case fmSimple, fmCSimple:
 		parent.sawElemChild = true
-		sr.skipChild(nsMark)
 	case fmCEmpty:
-		if !parent.failed {
-			parent.failed = true
-			parent.contentViol = &Violation{Path: parent.path, Msg: fmt.Sprintf("element <%s> is not allowed in empty content", tok.Name.Qualified())}
-		}
-		sr.skipChild(nsMark)
+		parent.setFailed(fmt.Sprintf("element <%s> is not allowed in empty content", tok.Name.Qualified()))
 	case fmNilled:
-		if !parent.failed {
-			parent.failed = true
-			parent.contentViol = &Violation{Path: parent.path, Msg: "nilled element must be empty"}
-		}
-		sr.skipChild(nsMark)
-	default: // fmDead
-		sr.skipChild(nsMark)
+		parent.setFailed(msgNilled)
+	}
+	sr.skipChild(nsMark)
+}
+
+// setFailed records the frame's first content violation.
+func (f *frame) setFailed(msg string) {
+	if !f.failed {
+		f.failed = true
+		f.contentViol = &Violation{Path: f.path, Msg: msg}
 	}
 }
 
 // skipChild discards the bindings pushed for the current start tag and
-// skips its subtree.
+// skips its subtree; the matching (possibly synthesized) end tag
+// rebalances skipDepth.
 func (sr *streamRun) skipChild(nsMark int) {
 	sr.ns = sr.ns[:nsMark]
-	sr.skip()
+	sr.skipDepth = 1
 }
 
-// openFrame replicates run.element's prologue (xsi:type, abstract,
-// xsi:nil) and pushes the frame for the element's content.
-func (sr *streamRun) openFrame(tok *xmlparser.Token, decl *xsd.ElementDecl, path string, nsMark int) {
-	sr.pushFrame(tok, decl, path, nsMark, false)
+// lookupNS finds the innermost binding of prefix ("xmlns" for the default
+// namespace).
+func (sr *streamRun) lookupNS(prefix string) (string, bool) {
+	for i := len(sr.ns) - 1; i >= 0; i-- {
+		if sr.ns[i].name == prefix {
+			return sr.ns[i].uri, true
+		}
+	}
+	return "", false
 }
 
-// openWildFrame is openFrame for wildcard-admitted elements; the observer
-// is told the element was reached through a wildcard, not a declaration.
-func (sr *streamRun) openWildFrame(tok *xmlparser.Token, decl *xsd.ElementDecl, path string, nsMark int) {
-	sr.pushFrame(tok, decl, path, nsMark, true)
+// pushFrame opens the element's frame: it applies the governing-type
+// rule, checks the attributes and sets the frame up for its content.
+// wild marks an element admitted by a content-model wildcard.
+func (sr *streamRun) pushFrame(tok *xmlparser.Token, decl *xsd.ElementDecl, path string, nsMark int, wild bool) {
+	f := sr.newFrame(path, decl, nsMark)
+	f.wild = wild
+	sr.frames = append(sr.frames, f)
+	xsiType, _ := tok.Attr(xsd.XSINamespace, "type")
+	xsiNil, _ := tok.Attr(xsd.XSINamespace, "nil")
+	typ, nilled, fail := sr.v.governingType(decl, xsiType, xsiNil, sr.lookupNS)
+	if fail != "" {
+		f.mode = fmDead
+		f.setFailed(fail)
+		return
+	}
+	if nilled {
+		f.mode = fmNilled
+		sr.announce(f, typ, tok, true)
+		return
+	}
+	// Degrade to the DOM path where streaming cannot decide: identity
+	// constraints need the whole subtree, and Interp-compiled content
+	// models are not incremental.
+	ct, _ := typ.(*xsd.ComplexType)
+	model := ct != nil && (ct.Kind == xsd.ContentElementOnly || ct.Kind == xsd.ContentMixed)
+	var g *contentmodel.Glushkov
+	if model {
+		g, _ = ct.Matcher(sr.v.schema).(*contentmodel.Glushkov)
+	}
+	if len(decl.Constraints) > 0 || (model && g == nil) {
+		sr.startFallback(f, tok)
+		return
+	}
+	sr.attributes(typ, len(tok.Attrs), func(i int) (xmlparser.Name, string) {
+		return tok.Attrs[i].Name, tok.Attrs[i].Value
+	}, f.path, &f.attrViols)
+	switch {
+	case ct == nil:
+		f.mode = fmSimple
+		f.st = typ.(*xsd.SimpleType)
+	case ct.Kind == xsd.ContentSimple:
+		f.mode = fmCSimple
+		f.st = ct.SimpleContentType
+	case ct.Kind == xsd.ContentEmpty:
+		f.mode = fmCEmpty
+	case model:
+		f.mode = fmModel
+		f.mixed = ct.Kind == xsd.ContentMixed
+		if f.run != nil {
+			f.run.Reset(g)
+		} else {
+			f.run = g.Start()
+		}
+	}
+	f.ids = sr.ids.mark()
+	sr.announce(f, typ, tok, false)
 }
 
 // announce delivers OpenElement for a frame that passed the prologue.
@@ -439,192 +441,6 @@ func (sr *streamRun) announce(f *frame, typ xsd.Type, tok *xmlparser.Token, nill
 	}
 	f.announced = true
 	sr.events.OpenElement(f.decl, typ, tok, nilled, f.wild)
-}
-
-func (sr *streamRun) pushFrame(tok *xmlparser.Token, decl *xsd.ElementDecl, path string, nsMark int, wild bool) {
-	f := sr.newFrame(path, decl, nsMark)
-	f.wild = wild
-	typ := decl.Type
-	if lex, _ := tok.Attr(xsd.XSINamespace, "type"); lex != "" {
-		q, err := sr.resolveQName(lex)
-		if err != nil {
-			sr.pushDead(f, fmt.Sprintf("bad xsi:type %q: %v", lex, err))
-			return
-		}
-		override, ok := sr.v.schema.LookupType(q)
-		if !ok {
-			sr.pushDead(f, fmt.Sprintf("xsi:type %s names an unknown type", q))
-			return
-		}
-		if !derivesFromType(override, typ) {
-			sr.pushDead(f, fmt.Sprintf("xsi:type %s does not derive from the declared type", q))
-			return
-		}
-		typ = override
-	}
-	if ct, ok := typ.(*xsd.ComplexType); ok && ct.Abstract {
-		sr.pushDead(f, fmt.Sprintf("type %s is abstract; an xsi:type of a concrete derived type is required", ct.Name))
-		return
-	}
-	if lex, _ := tok.Attr(xsd.XSINamespace, "nil"); lex != "" {
-		if !decl.Nillable {
-			sr.pushDead(f, "xsi:nil on a non-nillable element")
-			return
-		}
-		if lex == "true" || lex == "1" {
-			f.mode = fmNilled
-			sr.frames = append(sr.frames, f)
-			sr.announce(f, typ, tok, true)
-			return
-		}
-	}
-	// Degrade to the DOM path where streaming cannot decide: identity
-	// constraints need the whole subtree, and Interp-compiled content
-	// models are not incremental.
-	fallback := len(decl.Constraints) > 0
-	var g *contentmodel.Glushkov
-	if ct, ok := typ.(*xsd.ComplexType); !fallback && ok &&
-		(ct.Kind == xsd.ContentElementOnly || ct.Kind == xsd.ContentMixed) {
-		g, _ = sr.v.models.matcher(ct).(*contentmodel.Glushkov)
-		if g == nil {
-			fallback = true
-		}
-	}
-	if fallback {
-		sr.startFallback(f, tok)
-		return
-	}
-	switch t := typ.(type) {
-	case *xsd.SimpleType:
-		f.mode = fmSimple
-		f.st = t
-		for i := range tok.Attrs {
-			if a := &tok.Attrs[i]; !isMetaAttrName(a.Name) {
-				f.plainAttrs = append(f.plainAttrs, a.Name.Qualified())
-			}
-		}
-	case *xsd.ComplexType:
-		sr.attributes(f, tok, t)
-		switch t.Kind {
-		case xsd.ContentSimple:
-			f.mode = fmCSimple
-			f.st = t.SimpleContentType
-		case xsd.ContentEmpty:
-			f.mode = fmCEmpty
-		default:
-			f.mode = fmModel
-			f.mixed = t.Kind == xsd.ContentMixed
-			if f.run != nil {
-				f.run.Reset(g)
-			} else {
-				f.run = g.Start()
-			}
-		}
-	}
-	f.idMark = len(sr.idJournal)
-	f.refMark = len(sr.idrefs)
-	sr.frames = append(sr.frames, f)
-	sr.announce(f, typ, tok, false)
-}
-
-func (sr *streamRun) pushDead(f *frame, msg string) {
-	f.mode = fmDead
-	f.contentViol = &Violation{Path: f.path, Msg: msg}
-	sr.frames = append(sr.frames, f)
-}
-
-func isMetaAttrName(n xmlparser.Name) bool {
-	return n.Space == xmlparser.XMLNSNamespace || n.Space == xsd.XSINamespace || n.Space == xmlparser.XMLNamespace
-}
-
-// attributes replicates run.attributes over the start tag's attribute
-// list, buffering violations into the frame.
-func (sr *streamRun) attributes(f *frame, tok *xmlparser.Token, ct *xsd.ComplexType) {
-	seen := sr.attrSeen[:0]
-	for i := range tok.Attrs {
-		a := &tok.Attrs[i]
-		if isMetaAttrName(a.Name) {
-			continue
-		}
-		name := xsd.QName{Space: a.Name.Space, Local: a.Name.Local}
-		seen = append(seen, name)
-		use := ct.FindAttributeUse(name)
-		if use == nil || use.Prohibited {
-			if ct.AttrWildcard != nil && ct.AttrWildcard.Admits(name.Space) {
-				continue
-			}
-			f.attrViols = append(f.attrViols, Violation{Path: f.path, Msg: fmt.Sprintf("attribute %q is not declared for this element", a.Name.Qualified())})
-			continue
-		}
-		val, err := use.Decl.Type.Parse(a.Value)
-		if err != nil {
-			f.attrViols = append(f.attrViols, Violation{Path: f.path, Msg: fmt.Sprintf("attribute %q: %v", a.Name.Qualified(), err)})
-			continue
-		}
-		if use.Fixed != nil {
-			want, ferr := use.Decl.Type.Parse(*use.Fixed)
-			if ferr == nil && !val.Equal(want) {
-				f.attrViols = append(f.attrViols, Violation{Path: f.path, Msg: fmt.Sprintf("attribute %q must have the fixed value %q", a.Name.Qualified(), *use.Fixed)})
-			}
-		}
-		if b := use.Decl.Type.PrimitiveBuiltin(); b != nil && (b.Name == "ID" || b.Name == "IDREF" || b.Name == "IDREFS") {
-			sr.trackIDs(use.Decl.Type, a.Value, f.path+"/@"+a.Name.Qualified(), &f.attrViols)
-		}
-	}
-	for _, use := range ct.AttributeUses {
-		if use.Required && !use.Prohibited {
-			missing := true
-			for _, s := range seen {
-				if s == use.Decl.Name {
-					missing = false
-					break
-				}
-			}
-			if missing {
-				f.attrViols = append(f.attrViols, Violation{Path: f.path, Msg: fmt.Sprintf("required attribute %q is missing", use.Decl.Name.Local)})
-			}
-		}
-	}
-	sr.attrSeen = seen[:0]
-}
-
-// trackIDs mirrors run.trackIDs against the shared ID state, journaling
-// insertions for rollback.
-func (sr *streamRun) trackIDs(st *xsd.SimpleType, lexical, path string, viols *[]Violation) {
-	if sr.v.opts.SkipIDChecks {
-		return
-	}
-	b := st.PrimitiveBuiltin()
-	if b == nil {
-		return
-	}
-	norm := strings.Join(strings.Fields(lexical), " ")
-	switch b.Name {
-	case "ID":
-		if prev, dup := sr.ids[norm]; dup {
-			*viols = append(*viols, Violation{Path: path, Msg: fmt.Sprintf("duplicate ID %q (first declared at %s)", norm, prev)})
-		} else {
-			sr.ids[norm] = path
-			sr.idJournal = append(sr.idJournal, norm)
-		}
-	case "IDREF":
-		sr.idrefs = append(sr.idrefs, pendingRef{id: norm, path: path})
-	case "IDREFS":
-		for _, ref := range strings.Fields(norm) {
-			sr.idrefs = append(sr.idrefs, pendingRef{id: ref, path: path})
-		}
-	}
-}
-
-// rollbackTo undoes ID insertions and pending IDREFs recorded after the
-// frame's marks — the descendants the DOM validator would never have
-// visited.
-func (sr *streamRun) rollbackTo(f *frame) {
-	for _, id := range sr.idJournal[f.idMark:] {
-		delete(sr.ids, id)
-	}
-	sr.idJournal = sr.idJournal[:f.idMark]
-	sr.idrefs = sr.idrefs[:f.refMark]
 }
 
 // textNode consumes a character-data or CDATA token. It works on the
@@ -650,22 +466,18 @@ func (sr *streamRun) textNode(tok *xmlparser.Token, cdata bool) {
 			return
 		}
 		if cdata {
-			f.textViols = append(f.textViols, Violation{Path: f.path, Msg: "character data is not allowed in element-only content"})
+			report(&f.textViols, f.path, "character data is not allowed in element-only content")
 		} else if len(bytes.TrimSpace(data)) != 0 {
-			f.textViols = append(f.textViols, Violation{Path: f.path, Msg: fmt.Sprintf("character data %q is not allowed in element-only content", snippet(tok.Data()))})
+			report(&f.textViols, f.path, fmt.Sprintf("character data %q is not allowed in element-only content", snippet(tok.Data())))
 		}
 	case fmSimple, fmCSimple:
 		f.textBuf = append(f.textBuf, data...)
 	case fmCEmpty:
-		if !f.failed && (cdata || len(bytes.TrimSpace(data)) != 0) {
-			f.failed = true
-			f.contentViol = &Violation{Path: f.path, Msg: "character data is not allowed in empty content"}
+		if cdata || len(bytes.TrimSpace(data)) != 0 {
+			f.setFailed("character data is not allowed in empty content")
 		}
 	case fmNilled:
-		if !f.failed {
-			f.failed = true
-			f.contentViol = &Violation{Path: f.path, Msg: "nilled element must be empty"}
-		}
+		f.setFailed(msgNilled)
 	}
 }
 
@@ -693,8 +505,19 @@ func (sr *streamRun) deliver(viols []Violation) {
 	}
 	sr.rootDone = true
 	for _, v := range viols {
-		sr.emit(v)
+		report(&sr.res.Violations, v.Path, v.Msg)
 	}
+}
+
+// rejectContent records a content-model failure at path. The DOM walk
+// reports the match error and validates none of the element's children,
+// so the children's buffered violations are dropped and their IDs and
+// IDREFs rolled back.
+func (sr *streamRun) rejectContent(f *frame, path, msg string) {
+	f.failed = true
+	f.contentViol = &Violation{Path: path, Msg: msg}
+	f.childViols = nil
+	sr.ids.rollback(f.ids)
 }
 
 // closeFrame assembles the frame's violations in the order the DOM
@@ -704,12 +527,8 @@ func (sr *streamRun) closeFrame(f *frame) []Violation {
 	case fmModel:
 		if !f.failed {
 			if merr := f.run.End(); merr != nil {
-				// Premature end: the DOM path reports it against the
-				// parent and validates no children.
-				f.failed = true
-				f.contentViol = &Violation{Path: f.path, Msg: merr.Error()}
-				f.childViols = nil
-				sr.rollbackTo(f)
+				// Premature end: reported against the element itself.
+				sr.rejectContent(f, f.path, merr.Error())
 			}
 		}
 		if !f.failed && len(f.attrViols) == 0 && len(f.textViols) == 0 {
@@ -726,51 +545,15 @@ func (sr *streamRun) closeFrame(f *frame) []Violation {
 		}
 		return viols
 	case fmSimple:
+		// The text's violations come first, then the attributes'.
 		var viols []Violation
-		if f.sawElemChild {
-			viols = append(viols, Violation{Path: f.path, Msg: "element content is not allowed in a simple-type element"})
-		} else {
-			text := string(f.textBuf)
-			if f.decl.Fixed != nil && text == "" {
-				text = *f.decl.Fixed
-			}
-			if f.decl.Default != nil && text == "" {
-				text = *f.decl.Default
-			}
-			val, err := f.st.Parse(text)
-			if err != nil {
-				viols = append(viols, Violation{Path: f.path, Msg: err.Error()})
-			} else {
-				if f.announced {
-					f.evVal = &val
-				}
-				if f.decl.Fixed != nil {
-					want, ferr := f.st.Parse(*f.decl.Fixed)
-					if ferr == nil && !val.Equal(want) {
-						viols = append(viols, Violation{Path: f.path, Msg: fmt.Sprintf("value %q does not equal the fixed value %q", text, *f.decl.Fixed)})
-					}
-				}
-				sr.trackIDs(f.st, text, f.path, &viols)
-			}
-		}
-		for _, name := range f.plainAttrs {
-			viols = append(viols, Violation{Path: f.path, Msg: fmt.Sprintf("attribute %q is not allowed on a simple-type element", name)})
-		}
-		return viols
+		val, ok := sr.simpleText(f.st, f.decl, f.sawElemChild, string(f.textBuf), f.path, &viols)
+		sr.announceValue(f, val, ok)
+		return append(viols, f.attrViols...)
 	case fmCSimple:
 		viols := f.attrViols
-		if f.sawElemChild {
-			viols = append(viols, Violation{Path: f.path, Msg: "element content is not allowed in simple content"})
-		} else {
-			text := string(f.textBuf)
-			val, err := f.st.Parse(text)
-			if err != nil {
-				viols = append(viols, Violation{Path: f.path, Msg: err.Error()})
-			} else if f.announced {
-				f.evVal = &val
-			}
-			sr.trackIDs(f.st, text, f.path, &viols)
-		}
+		val, ok := sr.contentText(f.st, f.sawElemChild, string(f.textBuf), f.path, &viols)
+		sr.announceValue(f, val, ok)
 		return viols
 	default: // fmCEmpty, fmNilled, fmDead
 		viols := f.attrViols
@@ -778,6 +561,15 @@ func (sr *streamRun) closeFrame(f *frame) []Violation {
 			viols = append(viols, *f.contentViol)
 		}
 		return viols
+	}
+}
+
+// announceValue hands a simple element's parsed value to CloseElement.
+// Only a copy escapes, and only for announced frames.
+func (sr *streamRun) announceValue(f *frame, val xsdtypes.Value, ok bool) {
+	if ok && f.announced {
+		v := val
+		f.evVal = &v
 	}
 }
 
@@ -792,8 +584,7 @@ func (sr *streamRun) startFallback(f *frame, tok *xmlparser.Token) {
 		root.SetAttributeNS(a.Name.Space, a.Name.Qualified(), a.Value)
 	}
 	// Graft the in-scope namespace bindings onto the buffered root so
-	// resolveInstanceQName sees the same environment it would in the full
-	// tree. Innermost bindings win; locally declared ones are already set.
+	// xsi:type prefixes resolve as they would in the full tree. Innermost bindings win; locally declared ones are already set.
 	for i := len(sr.ns) - 1; i >= 0; i-- {
 		b := sr.ns[i]
 		if root.HasAttributeNS(xmlparser.XMLNSNamespace, b.name) {
@@ -810,13 +601,10 @@ func (sr *streamRun) startFallback(f *frame, tok *xmlparser.Token) {
 	f.fbRoot = root
 	f.fbCur = root
 	f.fbDepth = 1
-	f.idMark = len(sr.idJournal)
-	f.refMark = len(sr.idrefs)
-	sr.frames = append(sr.frames, f)
 }
 
-// feedFallback appends one token to the buffered subtree, mirroring
-// dom.Parse's token-to-node mapping.
+// feedFallback appends one token to the buffered subtree, mapping tokens
+// to nodes the way dom.Parse does.
 func (sr *streamRun) feedFallback(f *frame, tok *xmlparser.Token) {
 	doc := f.fbDoc
 	switch tok.Kind {
@@ -851,20 +639,13 @@ func (sr *streamRun) feedFallback(f *frame, tok *xmlparser.Token) {
 }
 
 // completeFallback validates the buffered subtree with the recursive DOM
-// path, sharing the document-wide ID state.
+// path, recording its IDs in the stream's table so rollback covers them.
 func (sr *streamRun) completeFallback(f *frame) {
 	sr.frames = sr.frames[:len(sr.frames)-1]
 	sr.ns = sr.ns[:f.nsMark]
-	nrun := &run{
-		v:   sr.v,
-		ids: sr.ids,
-		onIDInsert: func(id string) {
-			sr.idJournal = append(sr.idJournal, id)
-		},
-	}
-	nrun.element(f.fbRoot, f.decl, f.path)
-	sr.idrefs = append(sr.idrefs, nrun.idrefs...)
-	sr.deliver(nrun.res.Violations)
+	sub := run{checker: sr.checker}
+	sub.element(f.fbRoot, f.decl, f.path)
+	sr.deliver(sub.res.Violations)
 	if sr.events != nil {
 		sr.events.FallbackElement(f.decl, f.fbRoot, f.wild)
 	}
@@ -873,54 +654,4 @@ func (sr *streamRun) completeFallback(f *frame) {
 	f.fbDoc.Release()
 	f.fbDoc, f.fbRoot, f.fbCur = nil, nil, nil
 	sr.recycle(f)
-}
-
-// resolveQName replicates resolveInstanceQName against the streaming
-// binding stack.
-func (sr *streamRun) resolveQName(lexical string) (xsd.QName, error) {
-	lexical = strings.TrimSpace(lexical)
-	prefix, local := "", lexical
-	if i := strings.IndexByte(lexical, ':'); i >= 0 {
-		prefix, local = lexical[:i], lexical[i+1:]
-	}
-	if !xmlparser.IsNCName(local) || (prefix != "" && !xmlparser.IsNCName(prefix)) {
-		return xsd.QName{}, fmt.Errorf("bad QName")
-	}
-	if prefix == "xml" {
-		return xsd.QName{Space: xmlparser.XMLNamespace, Local: local}, nil
-	}
-	key := prefix
-	if key == "" {
-		key = "xmlns"
-	}
-	for i := len(sr.ns) - 1; i >= 0; i-- {
-		if sr.ns[i].name == key {
-			return xsd.QName{Space: sr.ns[i].uri, Local: local}, nil
-		}
-	}
-	if prefix != "" {
-		return xsd.QName{}, fmt.Errorf("undeclared prefix %q", prefix)
-	}
-	return xsd.QName{Local: local}, nil
-}
-
-// indexedChildPath replicates childPathIndexed for streaming frames.
-func (f *frame) indexedChildPath(tag string) string {
-	for i := range f.counts {
-		if f.counts[i].tag == tag {
-			f.counts[i].n++
-			return f.path + "/" + tag + "[" + strconv.Itoa(f.counts[i].n) + "]"
-		}
-	}
-	f.counts = append(f.counts, childCount{tag: tag, n: 1})
-	return f.path + "/" + tag
-}
-
-// finish resolves pending IDREFs, matching run.checkIDRefs.
-func (sr *streamRun) finish() {
-	for _, pending := range sr.idrefs {
-		if _, ok := sr.ids[pending.id]; !ok {
-			sr.emit(Violation{Path: pending.path, Msg: fmt.Sprintf("IDREF %q does not match any ID", pending.id)})
-		}
-	}
 }

@@ -75,10 +75,27 @@ func TestStreamIdentityFallback(t *testing.T) {
 	}
 }
 
+// TestStreamRollsBackRejectedChildren covers the ID table's rollback: the
+// stream has already validated <sub id="b"> when <v> breaks its parent's
+// sequence, and the DOM walk never visits the children of a rejected
+// element, so "b" must be forgotten — a later IDREF to it dangles and a
+// later declaration of it is no duplicate — and so must an IDREF inside
+// the rejected element.
+func TestStreamRollsBackRejectedChildren(t *testing.T) {
+	v := seamValidator(t)
+	for label, src := range map[string]string{
+		"idref into rejected element": `<doc><node><sub id="b"/><v>1</v></node><node ref="b"/></doc>`,
+		"id reused after rejection":   `<doc><node><sub id="b"/><v>1</v></node><node id="b"/></doc>`,
+		"idref inside rejection":      `<doc><node><sub ref="ghost"/><v>1</v></node></doc>`,
+	} {
+		streamDiff(t, v, label, src)
+	}
+}
+
 // TestStreamConcurrent drives one shared Validator's streaming path from
 // many goroutines (run under -race in the tier-1 extended recipe). The
-// compiled-model cache is the only shared mutable state; every run's
-// frames, ID maps and results are private.
+// schema's compiled models are the only shared mutable state; every run's
+// frames, ID tables and results are private.
 func TestStreamConcurrent(t *testing.T) {
 	v := poValidator(t)
 	sv := v.Stream()
@@ -106,7 +123,7 @@ func TestStreamConcurrent(t *testing.T) {
 					return
 				}
 				// Interleave DOM-path runs on the same Validator: both
-				// paths share the model cache.
+				// paths step the schema's compiled models.
 				doc, perr := dom.ParseString(schemas.PurchaseOrderDoc)
 				if perr != nil {
 					errs <- perr

@@ -63,15 +63,6 @@ type Options struct {
 	// negative means runtime.GOMAXPROCS(0). It has no effect on the
 	// single-document entry points.
 	Parallelism int
-	// DisableDFA turns off the lazy-DFA content-model executor and steps
-	// the Glushkov automata as NFAs (the pre-DFA behavior). Verdicts and
-	// messages are identical either way; this is an escape hatch and a
-	// benchmarking aid.
-	DisableDFA bool
-	// DFAStateBudget caps memoized DFA states per content model before a
-	// run falls back to NFA stepping. Zero means
-	// contentmodel.DefaultDFABudget.
-	DFAStateBudget int
 	// ElementObserver, when non-nil, is invoked with the governing
 	// declaration of every element the walk visits. It exists for
 	// instrumentation — codegen's instance-corpus pruning pass uses it to
@@ -84,91 +75,85 @@ type Options struct {
 //
 // A Validator is safe for concurrent use: any number of goroutines may
 // call ValidateDocument, ValidateElement and ValidateBatch on one shared
-// instance. All per-run state lives in a private run value, and the
-// compiled content models are shared through a thread-safe cache
-// (modelCache) that builds each complex type's automaton exactly once for
-// the Validator's lifetime. The documents being validated are only read,
-// never written — but callers must not mutate a document concurrently
-// with its validation.
+// instance. All per-run state lives in a private run value; the compiled
+// content models belong to the schema (xsd.ComplexType.Matcher), built
+// once per type and shared by every Validator and walk over it. The
+// documents being validated are only read, never written — but callers
+// must not mutate a document concurrently with its validation.
 type Validator struct {
 	schema *xsd.Schema
 	opts   Options
-	// models caches compiled content models per complex type, shared
-	// across all runs (and all goroutines) of this Validator.
-	models *modelCache
 }
 
 // New creates a validator for the schema. Passing nil opts selects the
 // defaults (see Options). The schema must already be resolved and must
 // not be mutated for the lifetime of the Validator.
 func New(schema *xsd.Schema, opts *Options) *Validator {
-	o := Options{}
+	v := &Validator{schema: schema}
 	if opts != nil {
-		o = *opts
+		v.opts = *opts
 	}
-	return &Validator{schema: schema, opts: o, models: newModelCache(schema, o)}
+	return v
 }
+
+// CompiledModels reports how many content models the schema has compiled
+// so far (xsd.Schema.CompiledModels). Repeated or concurrent validation
+// leaves it bounded by the number of complex types the documents use.
+func (v *Validator) CompiledModels() int { return v.schema.CompiledModels() }
 
 // ValidateDocument validates a whole document: the root element must match
 // a global element declaration.
 func (v *Validator) ValidateDocument(doc *dom.Document) *Result {
-	run := &run{v: v, ids: map[string]string{}}
-	root := doc.DocumentElement()
-	if root == nil {
-		run.violate("/", "document has no root element")
-		return &run.res
-	}
-	name := xsd.QName{Space: root.NamespaceURI(), Local: root.LocalName()}
-	decl, ok := v.schema.LookupElement(name)
-	if !ok {
-		run.violate("/"+root.TagName(), fmt.Sprintf("no global declaration for root element %s", name))
-		return &run.res
-	}
-	run.element(root, decl, "/"+root.TagName())
-	run.checkIDRefs()
-	return &run.res
+	return v.newRun().document(doc)
 }
 
 // ValidateElement validates a subtree against a specific declaration.
 func (v *Validator) ValidateElement(el *dom.Element, decl *xsd.ElementDecl) *Result {
-	run := &run{v: v, ids: map[string]string{}}
-	run.element(el, decl, "/"+el.TagName())
-	run.checkIDRefs()
-	return &run.res
+	r := v.newRun()
+	r.element(el, decl, "/"+el.TagName())
+	r.ids.resolve(&r.res.Violations)
+	return &r.res
 }
 
-// run carries one validation pass.
+// run carries one pass of the DOM walk.
 type run struct {
-	v   *Validator
+	checker
 	res Result
-	// ids maps seen ID values to their paths; idrefs records pending
-	// references, resolved once the whole document has been walked.
-	ids    map[string]string
-	idrefs []pendingRef
-	// onIDInsert, when set, observes every new ID insertion into ids.
-	// The streaming path uses it to journal insertions so a failed
-	// subtree's IDs can be rolled back for DOM-verdict parity.
-	onIDInsert func(id string)
-	// journal records ID events in subtree order when journaling is set;
-	// parallel sub-runs use it so seams can be joined exactly (parallel.go).
-	journal    []idEvent
-	journaling bool
 	// parWorkers, when > 1, makes every elementContent level with at
 	// least ParallelMinFanout children fan out to that many workers;
 	// cleared while a pool is running so splits never nest.
 	parWorkers int
 }
 
-// pendingRef is an IDREF awaiting resolution.
-type pendingRef struct {
-	id   string
-	path string
+func (v *Validator) newRun() *run { return &run{checker: newChecker(v, false)} }
+
+func (r *run) violate(path, msg string) { report(&r.res.Violations, path, msg) }
+
+// document validates doc's root against its global declaration, then
+// resolves the IDREFs.
+func (r *run) document(doc *dom.Document) *Result {
+	root := doc.DocumentElement()
+	if root == nil {
+		r.violate("/", "document has no root element")
+		return &r.res
+	}
+	if decl, fail := r.v.rootDecl(root.Name()); decl == nil {
+		r.violate("/"+root.TagName(), fail)
+	} else {
+		r.element(root, decl, "/"+root.TagName())
+		r.ids.resolve(&r.res.Violations)
+	}
+	return &r.res
 }
 
-func (r *run) violate(path, msg string) {
-	if len(r.res.Violations) < maxViolations {
-		r.res.Violations = append(r.res.Violations, Violation{Path: path, Msg: msg})
+// rootDecl returns the global declaration for a root element, or the
+// violation when there is none.
+func (v *Validator) rootDecl(n xmlparser.Name) (*xsd.ElementDecl, string) {
+	name := xsd.QName{Space: n.Space, Local: n.Local}
+	if decl, ok := v.schema.LookupElement(name); ok {
+		return decl, ""
 	}
+	return nil, fmt.Sprintf("no global declaration for root element %s", name)
 }
 
 // element validates el against its governing declaration.
@@ -179,185 +164,57 @@ func (r *run) element(el *dom.Element, decl *xsd.ElementDecl, path string) {
 	if len(r.res.Violations) >= maxViolations {
 		return
 	}
-	typ := decl.Type
-	// xsi:type may substitute a derived type.
-	if lex := el.GetAttributeNS(xsd.XSINamespace, "type"); lex != "" {
-		q, err := resolveInstanceQName(el, lex)
-		if err != nil {
-			r.violate(path, fmt.Sprintf("bad xsi:type %q: %v", lex, err))
-			return
-		}
-		override, ok := r.v.schema.LookupType(q)
-		if !ok {
-			r.violate(path, fmt.Sprintf("xsi:type %s names an unknown type", q))
-			return
-		}
-		if !derivesFromType(override, typ) {
-			r.violate(path, fmt.Sprintf("xsi:type %s does not derive from the declared type", q))
-			return
-		}
-		typ = override
-	}
-	if ct, ok := typ.(*xsd.ComplexType); ok && ct.Abstract {
-		r.violate(path, fmt.Sprintf("type %s is abstract; an xsi:type of a concrete derived type is required", ct.Name))
+	typ, nilled, fail := r.v.governingType(decl,
+		el.GetAttributeNS(xsd.XSINamespace, "type"), el.GetAttributeNS(xsd.XSINamespace, "nil"),
+		func(prefix string) (string, bool) { return lookupNS(el, prefix) })
+	if fail != "" {
+		r.violate(path, fail)
 		return
 	}
-	// xsi:nil.
-	if lex := el.GetAttributeNS(xsd.XSINamespace, "nil"); lex != "" {
-		if !decl.Nillable {
-			r.violate(path, "xsi:nil on a non-nillable element")
-			return
+	if nilled {
+		if len(el.ChildNodes()) > 0 {
+			r.violate(path, msgNilled)
 		}
-		if lex == "true" || lex == "1" {
-			if len(el.ChildNodes()) > 0 {
-				r.violate(path, "nilled element must be empty")
-			}
-			return
-		}
+		return
 	}
+	attrs := el.Attributes()
+	at := func(i int) (xmlparser.Name, string) { return attrs[i].Name(), attrs[i].Value() }
 	switch t := typ.(type) {
 	case *xsd.SimpleType:
-		r.simpleContent(el, t, decl, path)
-		r.checkNoAttributes(el, path)
+		r.simpleText(t, decl, hasElementChild(el), el.TextContent(), path, &r.res.Violations)
+		r.attributes(t, len(attrs), at, path, &r.res.Violations)
 	case *xsd.ComplexType:
-		r.complexElement(el, t, decl, path)
+		r.attributes(t, len(attrs), at, path, &r.res.Violations)
+		r.content(el, t, path)
 	}
 	r.checkIdentityConstraints(el, decl, path)
 }
 
-// derivesFromType checks the derivation relation across simple/complex.
-func derivesFromType(t, anc xsd.Type) bool {
-	if t == anc {
-		return true
+// lookupNS finds the namespace bound to prefix ("xmlns" for the default
+// namespace) on el or its nearest ancestor that declares it.
+func lookupNS(el *dom.Element, prefix string) (string, bool) {
+	for n := dom.Node(el); n != nil; n = n.ParentNode() {
+		if e, ok := n.(*dom.Element); ok && e.HasAttributeNS(xmlparser.XMLNSNamespace, prefix) {
+			return e.GetAttributeNS(xmlparser.XMLNSNamespace, prefix), true
+		}
 	}
-	switch x := t.(type) {
-	case *xsd.ComplexType:
-		return x.DerivesFrom(anc)
-	case *xsd.SimpleType:
-		if a, ok := anc.(*xsd.SimpleType); ok {
-			return x.DerivesFrom(a)
+	return "", false
+}
+
+func hasElementChild(el *dom.Element) bool {
+	for _, c := range el.ChildNodes() {
+		if _, ok := c.(*dom.Element); ok {
+			return true
 		}
 	}
 	return false
 }
 
-// simpleContent validates character-only content.
-func (r *run) simpleContent(el *dom.Element, st *xsd.SimpleType, decl *xsd.ElementDecl, path string) {
-	for _, c := range el.ChildNodes() {
-		if _, ok := c.(*dom.Element); ok {
-			r.violate(path, "element content is not allowed in a simple-type element")
-			return
-		}
-	}
-	text := el.TextContent()
-	if decl != nil && decl.Fixed != nil && text == "" {
-		text = *decl.Fixed
-	}
-	if decl != nil && decl.Default != nil && text == "" {
-		text = *decl.Default
-	}
-	val, err := st.Parse(text)
-	if err != nil {
-		r.violate(path, err.Error())
-		return
-	}
-	if decl != nil && decl.Fixed != nil {
-		want, ferr := st.Parse(*decl.Fixed)
-		if ferr == nil && !val.Equal(want) {
-			r.violate(path, fmt.Sprintf("value %q does not equal the fixed value %q", text, *decl.Fixed))
-		}
-	}
-	r.trackIDs(st, text, path)
-}
-
-// trackIDs records ID/IDREF values for document-level integrity.
-func (r *run) trackIDs(st *xsd.SimpleType, lexical string, path string) {
-	if r.v.opts.SkipIDChecks {
-		return
-	}
-	b := st.PrimitiveBuiltin()
-	if b == nil {
-		return
-	}
-	switch b.Name {
-	case "ID":
-		r.trackID(lexical, path)
-	case "IDREF":
-		r.trackIDRef(lexical, path)
-	case "IDREFS":
-		r.trackIDRefs(lexical, path)
-	}
-}
-
-func (r *run) trackID(lexical, path string) {
-	norm := strings.Join(strings.Fields(lexical), " ")
-	if r.journaling {
-		_, dup := r.ids[norm]
-		r.journal = append(r.journal, idEvent{id: norm, path: path, vioIdx: len(r.res.Violations), dup: dup})
-	}
-	if prev, dup := r.ids[norm]; dup {
-		r.violate(path, fmt.Sprintf("duplicate ID %q (first declared at %s)", norm, prev))
-	} else {
-		r.ids[norm] = path
-		if r.onIDInsert != nil {
-			r.onIDInsert(norm)
-		}
-	}
-}
-
-func (r *run) trackIDRef(lexical, path string) {
-	norm := strings.Join(strings.Fields(lexical), " ")
-	r.idrefs = append(r.idrefs, pendingRef{id: norm, path: path})
-}
-
-func (r *run) trackIDRefs(lexical, path string) {
-	norm := strings.Join(strings.Fields(lexical), " ")
-	for _, ref := range strings.Fields(norm) {
-		r.idrefs = append(r.idrefs, pendingRef{id: ref, path: path})
-	}
-}
-
-// checkIDRefs resolves collected IDREFs against seen IDs.
-func (r *run) checkIDRefs() {
-	for _, pending := range r.idrefs {
-		if _, ok := r.ids[pending.id]; !ok {
-			r.violate(pending.path, fmt.Sprintf("IDREF %q does not match any ID", pending.id))
-		}
-	}
-}
-
-// checkNoAttributes flags attributes on simple-typed elements (only
-// xsi:/xmlns are allowed).
-func (r *run) checkNoAttributes(el *dom.Element, path string) {
-	for _, a := range el.Attributes() {
-		if isMetaAttr(a) {
-			continue
-		}
-		r.violate(path, fmt.Sprintf("attribute %q is not allowed on a simple-type element", a.NodeName()))
-	}
-}
-
-func isMetaAttr(a *dom.Attr) bool {
-	space := a.Name().Space
-	return space == xmlparser.XMLNSNamespace || space == xsd.XSINamespace || space == xmlparser.XMLNamespace
-}
-
-// complexElement validates an element governed by a complex type.
-func (r *run) complexElement(el *dom.Element, ct *xsd.ComplexType, decl *xsd.ElementDecl, path string) {
-	r.attributes(el, ct, path)
+// content validates the content of an element governed by a complex type.
+func (r *run) content(el *dom.Element, ct *xsd.ComplexType, path string) {
 	switch ct.Kind {
 	case xsd.ContentSimple:
-		for _, c := range el.ChildNodes() {
-			if _, ok := c.(*dom.Element); ok {
-				r.violate(path, "element content is not allowed in simple content")
-				return
-			}
-		}
-		text := el.TextContent()
-		if _, err := ct.SimpleContentType.Parse(text); err != nil {
-			r.violate(path, err.Error())
-		}
-		r.trackIDs(ct.SimpleContentType, text, path)
+		r.contentText(ct.SimpleContentType, hasElementChild(el), el.TextContent(), path, &r.res.Violations)
 	case xsd.ContentEmpty:
 		for _, c := range el.ChildNodes() {
 			switch x := c.(type) {
@@ -398,7 +255,7 @@ func (r *run) elementContent(el *dom.Element, ct *xsd.ComplexType, path string) 
 			}
 		}
 	}
-	leaves, merr := r.v.models.matcher(ct).Match(symbols)
+	leaves, merr := ct.Matcher(r.v.schema).Match(symbols)
 	if merr != nil {
 		loc := path
 		if merr.Index < len(children) {
@@ -419,111 +276,24 @@ func (r *run) elementContent(el *dom.Element, ct *xsd.ComplexType, path string) 
 			return
 		}
 	}
-	counts := map[string]int{}
+	var counts childCounts
 	for i, child := range children {
-		cpath := childPathIndexed(path, child, counts)
-		switch data := leaves[i].Data.(type) {
-		case *xsd.ElementDecl:
-			resolved, err := r.v.schema.ResolveChild(data, xsd.QName{Space: child.NamespaceURI(), Local: child.LocalName()})
-			if err != nil {
-				r.violate(cpath, err.Error())
-				continue
-			}
-			r.element(child, resolved, cpath)
-		case *contentmodel.Wildcard:
-			// Lax wildcard processing: validate when a global
-			// declaration exists, accept otherwise.
-			name := xsd.QName{Space: child.NamespaceURI(), Local: child.LocalName()}
-			if gdecl, ok := r.v.schema.LookupElement(name); ok {
-				r.element(child, gdecl, cpath)
-			}
-		}
+		r.child(child, leaves[i], counts.path(path, child.TagName()))
 	}
 }
 
-// attributes validates the attribute set of el against ct.
-func (r *run) attributes(el *dom.Element, ct *xsd.ComplexType, path string) {
-	seen := map[xsd.QName]bool{}
-	for _, a := range el.Attributes() {
-		if isMetaAttr(a) {
-			continue
-		}
-		name := xsd.QName{Space: a.Name().Space, Local: a.Name().Local}
-		seen[name] = true
-		use := ct.FindAttributeUse(name)
-		if use == nil || use.Prohibited {
-			if ct.AttrWildcard != nil && ct.AttrWildcard.Admits(name.Space) {
-				continue
-			}
-			r.violate(path, fmt.Sprintf("attribute %q is not declared for this element", a.NodeName()))
-			continue
-		}
-		val, err := use.Decl.Type.Parse(a.Value())
-		if err != nil {
-			r.violate(path, fmt.Sprintf("attribute %q: %v", a.NodeName(), err))
-			continue
-		}
-		if use.Fixed != nil {
-			want, ferr := use.Decl.Type.Parse(*use.Fixed)
-			if ferr == nil && !val.Equal(want) {
-				r.violate(path, fmt.Sprintf("attribute %q must have the fixed value %q", a.NodeName(), *use.Fixed))
-			}
-		}
-		r.trackIDs(use.Decl.Type, a.Value(), path+"/@"+a.NodeName())
+// child validates one child element the content model matched to leaf.
+func (r *run) child(el *dom.Element, leaf *contentmodel.Leaf, path string) {
+	decl, _, err := r.v.childDecl(leaf, xsd.QName{Space: el.NamespaceURI(), Local: el.LocalName()})
+	if err != nil {
+		r.violate(path, err.Error())
+	} else if decl != nil {
+		r.element(el, decl, path)
 	}
-	for _, use := range ct.AttributeUses {
-		if use.Required && !use.Prohibited && !seen[use.Decl.Name] {
-			r.violate(path, fmt.Sprintf("required attribute %q is missing", use.Decl.Name.Local))
-		}
-	}
-}
-
-// resolveInstanceQName resolves a QName lexical value against the
-// namespace declarations in scope in the instance document.
-func resolveInstanceQName(el *dom.Element, lexical string) (xsd.QName, error) {
-	lexical = strings.TrimSpace(lexical)
-	prefix, local := "", lexical
-	if i := strings.IndexByte(lexical, ':'); i >= 0 {
-		prefix, local = lexical[:i], lexical[i+1:]
-	}
-	if !xmlparser.IsNCName(local) || (prefix != "" && !xmlparser.IsNCName(prefix)) {
-		return xsd.QName{}, fmt.Errorf("bad QName")
-	}
-	if prefix == "xml" {
-		return xsd.QName{Space: xmlparser.XMLNamespace, Local: local}, nil
-	}
-	for n := dom.Node(el); n != nil; n = n.ParentNode() {
-		e, ok := n.(*dom.Element)
-		if !ok {
-			continue
-		}
-		if prefix == "" {
-			if e.HasAttributeNS(xmlparser.XMLNSNamespace, "xmlns") {
-				return xsd.QName{Space: e.GetAttributeNS(xmlparser.XMLNSNamespace, "xmlns"), Local: local}, nil
-			}
-		} else if e.HasAttributeNS(xmlparser.XMLNSNamespace, prefix) {
-			return xsd.QName{Space: e.GetAttributeNS(xmlparser.XMLNSNamespace, prefix), Local: local}, nil
-		}
-	}
-	if prefix != "" {
-		return xsd.QName{}, fmt.Errorf("undeclared prefix %q", prefix)
-	}
-	return xsd.QName{Local: local}, nil
 }
 
 // childPath appends a child step to a path.
 func childPath(path string, child *dom.Element) string {
-	return path + "/" + child.TagName()
-}
-
-// childPathIndexed appends a child step with a 1-based position index per
-// tag name (item[1], item[2], ...).
-func childPathIndexed(path string, child *dom.Element, counts map[string]int) string {
-	counts[child.TagName()]++
-	n := counts[child.TagName()]
-	if n > 1 {
-		return fmt.Sprintf("%s/%s[%d]", path, child.TagName(), n)
-	}
 	return path + "/" + child.TagName()
 }
 

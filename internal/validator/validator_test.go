@@ -1,6 +1,7 @@
 package validator
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -336,4 +337,25 @@ func TestFixedAndDefaultElementValues(t *testing.T) {
 		t.Errorf("empty fixed element takes the fixed value: %v", res.Err())
 	}
 	wantViolation(t, validate(t, v, `<version>2.0</version>`), "fixed")
+}
+
+// TestChildCountsPaths checks the walks' indexed child paths, including
+// tags counted after the short list has spilled into its map.
+func TestChildCountsPaths(t *testing.T) {
+	var cc childCounts
+	seen := map[string]int{}
+	for i := 0; i < 4*maxCountList; i++ {
+		tag := fmt.Sprintf("t%d", i%(2*maxCountList))
+		seen[tag]++
+		want := "/p/" + tag
+		if n := seen[tag]; n > 1 {
+			want = fmt.Sprintf("/p/%s[%d]", tag, n)
+		}
+		if got := cc.path("/p", tag); got != want {
+			t.Fatalf("child %d: path %q, want %q", i, got, want)
+		}
+	}
+	if cc.n != maxCountList || len(cc.spill) != maxCountList {
+		t.Errorf("list holds %d tags and spill %d, want %d each", cc.n, len(cc.spill), maxCountList)
+	}
 }

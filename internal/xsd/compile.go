@@ -51,11 +51,14 @@ func (s *Schema) CompileParticle(p *Particle) *contentmodel.Particle {
 // itself immutable and safe for concurrent Match calls.
 func (c *ComplexType) Matcher(s *Schema) contentmodel.Matcher {
 	c.compileOnce.Do(func() {
+		s.compiles.Add(1)
 		m := contentmodel.Compile(s.CompileParticle(c.Particle))
 		if g, ok := m.(*contentmodel.Glushkov); ok {
 			// Attach the lazy DFA before the matcher is published; it
 			// shares the schema-wide symbol interner with every other
-			// model so transition lookups are a single array index.
+			// model so transition lookups are a single array index. The
+			// state budget is contentmodel.DefaultDFABudget; past it a run
+			// steps the NFA.
 			g.EnableDFA(s.symbols, 0)
 		}
 		c.compiled = m

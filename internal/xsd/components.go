@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/contentmodel"
 	"repro/internal/xsdtypes"
@@ -455,6 +456,10 @@ type Schema struct {
 	// comparing names.
 	symbols *contentmodel.Interner
 
+	// compiles counts content models built by ComplexType.Matcher (not
+	// lookups), so callers can prove each type compiles once.
+	compiles atomic.Int64
+
 	// sources lists the canonical keys of every document that contributed
 	// components (root first, then referenced documents in load order).
 	// Populated only when the schema was parsed through a Resolver
@@ -473,6 +478,11 @@ func (s *Schema) Sources() []string { return s.sources }
 // Symbols returns the schema-wide symbol interning table shared by every
 // content model compiled from this schema.
 func (s *Schema) Symbols() *contentmodel.Interner { return s.symbols }
+
+// CompiledModels reports how many content models ComplexType.Matcher has
+// compiled for this schema so far. Each type compiles at most once, so
+// repeated or concurrent validation leaves the count unchanged.
+func (s *Schema) CompiledModels() int { return int(s.compiles.Load()) }
 
 // NewSchema creates an empty schema with the built-in types preloaded.
 func NewSchema(targetNS string) *Schema {
