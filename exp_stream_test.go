@@ -51,6 +51,98 @@ const streamFeaturesXSD = `<?xml version="1.0"?>
 </xsd:schema>
 `
 
+// scopedTypesXSD puts xsi:type="p:Derived" where the machine is entered
+// from a DOM with xmlns:p bound only on an ancestor: inside an
+// identity-constrained element (a buffered subtree on the token stream),
+// in a level wide enough to validate in parallel at the default
+// ParallelMinFanout, and under the global <p:holder>, which
+// TestValidateElementInheritsBindings validates on its own.
+const scopedTypesXSD = `<?xml version="1.0"?>
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema"
+    xmlns:s="urn:example:scoped" targetNamespace="urn:example:scoped">
+  <xsd:complexType name="Base">
+    <xsd:sequence>
+      <xsd:element name="v" type="xsd:string"/>
+    </xsd:sequence>
+  </xsd:complexType>
+  <xsd:complexType name="Derived">
+    <xsd:complexContent>
+      <xsd:extension base="s:Base">
+        <xsd:attribute name="extra" type="xsd:int"/>
+      </xsd:extension>
+    </xsd:complexContent>
+  </xsd:complexType>
+  <xsd:complexType name="Holder">
+    <xsd:sequence>
+      <xsd:element name="thing" type="s:Base" maxOccurs="unbounded"/>
+    </xsd:sequence>
+  </xsd:complexType>
+  <xsd:element name="holder" type="s:Holder"/>
+  <xsd:element name="doc">
+    <xsd:complexType>
+      <xsd:sequence>
+        <xsd:element name="keyed" type="s:Holder">
+          <xsd:unique name="extras">
+            <xsd:selector xpath="thing"/>
+            <xsd:field xpath="@extra"/>
+          </xsd:unique>
+        </xsd:element>
+        <xsd:element name="wide" type="s:Holder"/>
+        <xsd:element ref="s:holder"/>
+      </xsd:sequence>
+    </xsd:complexType>
+  </xsd:element>
+</xsd:schema>
+`
+
+// scopedTypesDoc is an instance of scopedTypesXSD whose three xsi:type
+// attributes name typ; every other <thing> is a plain Base.
+func scopedTypesDoc(typ string) string {
+	thing := `<thing xsi:type="p:` + typ + `" extra="1"><v>x</v></thing>`
+	return `<p:doc xmlns:p="urn:example:scoped" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">` +
+		`<keyed>` + thing + `<thing><v>y</v></thing></keyed>` +
+		`<wide>` + strings.Repeat(`<thing><v>y</v></thing>`, 8) + thing + strings.Repeat(`<thing><v>y</v></thing>`, 8) + `</wide>` +
+		`<p:holder><thing><v>y</v></thing>` + thing + `</p:holder></p:doc>`
+}
+
+// interpModelXSD gives <card> a seven-way xs:all, which
+// contentmodel.CompileGlushkov rejects as too large, so every path
+// matches it with the interpreter. IDs and IDREFs sit on <card> (outside
+// the model), on its child <g> (inside it) and on <link>.
+const interpModelXSD = `<?xml version="1.0"?>
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="registry">
+    <xsd:complexType>
+      <xsd:sequence>
+        <xsd:element name="card" type="Card" maxOccurs="unbounded"/>
+        <xsd:element name="link" minOccurs="0" maxOccurs="unbounded">
+          <xsd:complexType>
+            <xsd:attribute name="to" type="xsd:IDREF" use="required"/>
+          </xsd:complexType>
+        </xsd:element>
+      </xsd:sequence>
+    </xsd:complexType>
+  </xsd:element>
+  <xsd:complexType name="Card">
+    <xsd:all>
+      <xsd:element name="a" type="xsd:string"/>
+      <xsd:element name="b" type="xsd:int"/>
+      <xsd:element name="c" type="xsd:string"/>
+      <xsd:element name="d" type="xsd:string"/>
+      <xsd:element name="e" type="xsd:string"/>
+      <xsd:element name="f" type="xsd:string"/>
+      <xsd:element name="g">
+        <xsd:complexType>
+          <xsd:attribute name="id" type="xsd:ID"/>
+          <xsd:attribute name="ref" type="xsd:IDREF"/>
+        </xsd:complexType>
+      </xsd:element>
+    </xsd:all>
+    <xsd:attribute name="id" type="xsd:ID"/>
+  </xsd:complexType>
+</xsd:schema>
+`
+
 // diffCase is one schema+instances differential group.
 type diffCase struct {
 	name      string
@@ -113,7 +205,7 @@ var diffCases = []diffCase{
 			"entries with ids":     `<report><title>t</title><summary>s</summary><entry id="a"><when>2001-01-01</when></entry><entry id="b"><when>2001-01-02</when></entry></report>`,
 			"duplicate id":         `<report><title>t</title><summary>s</summary><entry id="a"><when>2001-01-01</when></entry><entry id="a"><when>2001-01-02</when></entry></report>`,
 			// The journal test: entry's ID is tracked, then the content
-			// model fails at <bogus/>; the DOM path never sees the ID.
+			// model fails at <bogus/> and the ID must be rolled back.
 			"id rollback on content failure": `<report><title>t</title><summary>s</summary><entry id="a"><when>2001-01-01</when></entry><bogus/><entry id="a"><when>2001-01-03</when></entry></report>`,
 			"dangling key without value":     `<report><title>t</title><summary>s</summary><key>k</key></report>`,
 			"text in element-only":           `<report><title>t</title>stray<summary>s</summary></report>`,
@@ -145,6 +237,31 @@ var diffCases = []diffCase{
 			"mixed content accepts text":          `<doc><para>just text</para></doc>`,
 			"mixed content rejects unknown child": `<doc><para>text <strong>x</strong></para></doc>`,
 			"cdata in element-only":               `<doc><![CDATA[raw]]><marker/></doc>`,
+		},
+	},
+	{
+		name:   "namespace bindings at subtree entry",
+		xsdSrc: scopedTypesXSD,
+		instances: map[string]string{
+			"derived type via ancestor prefix": scopedTypesDoc("Derived"),
+			"unknown type via ancestor prefix": scopedTypesDoc("Nope"),
+		},
+	},
+	{
+		name:   "interpreted content model",
+		xsdSrc: interpModelXSD,
+		instances: map[string]string{
+			"declared order": `<registry><card id="c1"><a>a</a><b>1</b><c>c</c><d>d</d><e>e</e><f>f</f><g id="g1"/></card><link to="c1"/><link to="g1"/></registry>`,
+			// Permuted children are valid, but bind's JSON round trip
+			// would re-emit them in declared order, so this instance
+			// carries a dangling IDREF from inside the model.
+			"any order":          `<registry><card id="c1"><g id="g1" ref="c3"/><f>f</f><e>e</e><d>d</d><c>c</c><b>1</b><a>a</a></card><card id="c2"><b>2</b><a>a</a><g/><c>c</c><d>d</d><f>f</f><e>e</e></card><link to="g1"/></registry>`,
+			"single card":        `<registry><card><e>e</e><a>a</a><b>bad</b><c>c</c><d>d</d><f>f</f><g id="g1" ref="nowhere"/></card></registry>`,
+			"missing particle":   `<registry><card id="c1"><a>a</a><b>1</b><c>c</c><d>d</d><e>e</e><g id="g1"/></card><link to="c1"/><link to="g1"/></registry>`,
+			"repeated particle":  `<registry><card><a>a</a><a>a</a><b>1</b><c>c</c><d>d</d><e>e</e><f>f</f><g id="g1"/></card><card id="g1"><a>a</a><b>x</b><c>c</c><d>d</d><e>e</e><f>f</f><g/></card></registry>`,
+			"bad child value":    `<registry><card id="c1"><a>a</a><b>one</b><c>c</c><d>d</d><e>e</e><f>f</f><g id="c1"/></card><link to="c1"/></registry>`,
+			"duplicate id cards": `<registry><card id="x"><a>a</a><b>1</b><c>c</c><d>d</d><e>e</e><f>f</f><g id="y"/></card><card id="y"><a>a</a><b>1</b><c>c</c><d>d</d><e>e</e><f>f</f><g id="x"/></card></registry>`,
+			"text in all group":  `<registry><card><a>a</a>stray<b>1</b><c>c</c><d>d</d><e>e</e><f>f</f><g/></card></registry>`,
 		},
 	},
 	{
@@ -212,6 +329,40 @@ func TestStreamMatchesDOM(t *testing.T) {
 				diffValidate(t, schema, sv, label, src)
 			}
 		})
+	}
+}
+
+// TestValidateElementInheritsBindings validates <p:holder> on its own with
+// ValidateElement: its xsi:type prefix is bound only on the document
+// element, so the subtree entry must seed the bindings the element
+// inherits. The result must be ValidateDocument's violations under
+// <p:holder>, with paths rooted at the holder.
+func TestValidateElementInheritsBindings(t *testing.T) {
+	schema, err := xsd.ParseString(scopedTypesXSD, nil)
+	if err != nil {
+		t.Fatalf("schema: %v", err)
+	}
+	decl, ok := schema.LookupElement(xsd.QName{Space: "urn:example:scoped", Local: "holder"})
+	if !ok {
+		t.Fatal("no global holder declaration")
+	}
+	v := validator.New(schema, nil)
+	for _, typ := range []string{"Derived", "Nope"} {
+		doc, err := dom.ParseString(scopedTypesDoc(typ))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := &validator.Result{}
+		for _, vi := range v.ValidateDocument(doc).Violations {
+			if rest, ok := strings.CutPrefix(vi.Path, "/p:doc/p:holder"); ok {
+				want.Violations = append(want.Violations, validator.Violation{Path: "/p:holder" + rest, Msg: vi.Msg})
+			}
+		}
+		if typ == "Nope" && want.OK() {
+			t.Fatal("setup: the unknown type under <p:holder> is not reported")
+		}
+		holder := doc.DocumentElement().ChildElements()[2]
+		assertSameResult(t, "ValidateElement with xsi:type="+typ, want, v.ValidateElement(holder, decl))
 	}
 }
 
@@ -335,30 +486,60 @@ func bytesPerRun(runs int, f func()) uint64 {
 	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
 }
 
-// TestStreamAllocCeiling holds the streaming path's memory claim: it
-// builds no tree, so on a 1000-item purchase order it must allocate less
-// than parsing the DOM and validating it.
+// TestStreamAllocCeiling holds the memory claims of the two drivers of the
+// frame machine on purchase orders of 1,000 and 10,000 items:
+//   - the token stream builds no tree, so it allocates less than parsing
+//     the DOM and validating it;
+//   - the DOM replay allocates no more than 1.2x what the stream does on
+//     the same bytes, tokenizer included;
+//   - neither grows super-linearly: 10x the items costs at most 12x the
+//     bytes.
 func TestStreamAllocCeiling(t *testing.T) {
 	schema := poSchema(t)
-	src := largePOSource(1000)
 	v := validator.New(schema, nil)
 	sv := v.Stream()
-	stream := bytesPerRun(5, func() {
-		if res := sv.ValidateBytes(src); !res.OK() {
-			t.Fatal(res.Err())
-		}
-	})
-	viaDOM := bytesPerRun(5, func() {
+	type costs struct{ stream, replay, parseAndReplay uint64 }
+	measure := func(items, runs int) costs {
+		src := largePOSource(items)
 		doc, err := dom.Parse(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res := v.ValidateDocument(doc); !res.OK() {
-			t.Fatal(res.Err())
-		}
-	})
-	t.Logf("1000-item PO: stream %d B/op, dom.Parse+ValidateDocument %d B/op", stream, viaDOM)
-	if stream >= viaDOM {
-		t.Errorf("stream path allocates %d B/op, not below the DOM path's %d B/op", stream, viaDOM)
+		var c costs
+		c.stream = bytesPerRun(runs, func() {
+			if res := sv.ValidateBytes(src); !res.OK() {
+				t.Fatal(res.Err())
+			}
+		})
+		c.replay = bytesPerRun(runs, func() {
+			if res := v.ValidateDocument(doc); !res.OK() {
+				t.Fatal(res.Err())
+			}
+		})
+		c.parseAndReplay = bytesPerRun(runs, func() {
+			doc, err := dom.Parse(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := v.ValidateDocument(doc); !res.OK() {
+				t.Fatal(res.Err())
+			}
+		})
+		t.Logf("%d-item PO: stream %d B/op, ValidateDocument %d B/op, dom.Parse+ValidateDocument %d B/op",
+			items, c.stream, c.replay, c.parseAndReplay)
+		return c
+	}
+	small, large := measure(1000, 5), measure(10000, 2)
+	if small.stream >= small.parseAndReplay {
+		t.Errorf("stream path allocates %d B/op, not below the DOM path's %d B/op", small.stream, small.parseAndReplay)
+	}
+	if small.replay*10 > small.stream*12 {
+		t.Errorf("ValidateDocument allocates %d B/op, above 1.2x the stream's %d B/op", small.replay, small.stream)
+	}
+	if large.stream > 12*small.stream {
+		t.Errorf("stream B/op grows super-linearly: %d at 10,000 items vs %d at 1,000", large.stream, small.stream)
+	}
+	if large.replay > 12*small.replay {
+		t.Errorf("ValidateDocument B/op grows super-linearly: %d at 10,000 items vs %d at 1,000", large.replay, small.replay)
 	}
 }

@@ -264,14 +264,21 @@ func (s *Server) withWorker(w http.ResponseWriter, r *http.Request, series *obs.
 
 	outc := make(chan outcome, 1)
 	go func() {
-		defer func() {
-			s.metrics.InFlight.Dec()
-			<-s.sem
-			if p := recover(); p != nil {
-				outc <- outcome{code: http.StatusInternalServerError, errMsg: fmt.Sprintf("worker panic: %v", p)}
-			}
+		var out outcome
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					out = outcome{code: http.StatusInternalServerError, errMsg: fmt.Sprintf("worker panic: %v", p)}
+				}
+			}()
+			out = fn(ctx, body)
 		}()
-		outc <- fn(ctx, body)
+		// fn has stopped: release the slot before the outcome can reach
+		// the client, so a caller that has its response never sees the
+		// request still in flight.
+		s.metrics.InFlight.Dec()
+		<-s.sem
+		outc <- out
 	}()
 
 	select {

@@ -18,22 +18,30 @@
 // that everything the typed V-DOM API (package vdom) can express
 // marshals to a valid document.
 //
-// # One set of rules
+// # One walk, two drivers
 //
-// Four walks reach an element: the DOM recursion (ValidateDocument), the
-// token-driven frame stack (StreamValidator), parallel sub-runs
-// (ParallelValidate) and generated validators (through Sink). They differ
-// only in how they see the element; what makes it valid is decided once,
-// in rules.go: the governing type (xsi:type, abstract, xsi:nil), the
-// attribute set, simple content, QName resolution, indexed child paths and
-// the child dispatch (substitution groups, lax wildcards). Every walk keeps
-// a document's ID/IDREF state in one idTable type (ids.go), whose journal
-// lets the stream roll back the IDs of children a failed content model
-// disowns and lets parallel sub-runs be joined at their seams. Content
-// models come from the schema: xsd.ComplexType.Matcher compiles each
-// complex type once into a Glushkov automaton with a lazy DFA (at most
-// contentmodel.DefaultDFABudget states, NFA stepping past it), shared by
-// every Validator, walk and goroutine over that schema.
+// Every entry point runs one walk: the frame machine (stream.go), an
+// explicit stack of open elements, each with its automaton state and
+// buffered violations, driven by start, text, CDATA, comment, PI and end
+// events. Two drivers feed it. The token loop (StreamValidator) feeds it
+// the decoder's tokens. The DOM replay (validator.go) walks a parsed or
+// programmatically built tree and feeds it the same events, with the
+// node's text passed as is; ValidateDocument, ValidateElement,
+// ValidateBytes, ParallelValidate chunks, generated validators (through
+// Sink) and the token stream's buffered subtrees all enter a tree through
+// one subtree entry that seeds the namespace bindings the element
+// inherits, opens its frame, replays and closes it. What makes an element
+// valid is decided once, in rules.go: the governing type (xsi:type,
+// abstract, xsi:nil), the attribute set, simple content, QName
+// resolution, indexed child paths and the child dispatch (substitution
+// groups, lax wildcards). A document's ID/IDREF state is one idTable
+// (ids.go), whose journal lets the machine roll back the IDs of children
+// a failed content model disowns and lets parallel sub-runs be joined at
+// their seams. Content models come from the schema:
+// xsd.ComplexType.Matcher compiles each complex type once into a Glushkov
+// automaton with a lazy DFA (at most contentmodel.DefaultDFABudget
+// states, NFA stepping past it), shared by every Validator, walk and
+// goroutine over that schema.
 //
 // # Streaming entry points
 //
@@ -45,27 +53,27 @@
 // ValidateReaderContext is the cancellable form — it checks the context
 // between token batches and returns (nil, ctx.Err()) on expiry, the
 // same contract as ValidateBatchContext; servers use it to stop
-// validating when a request's deadline fires mid-stream. It steps the
-// same automata as the DOM path through an explicit element/automaton-
-// state stack and reproduces ValidateDocument's verdicts, violation order
+// validating when a request's deadline fires mid-stream. It drives the
+// same frame machine as the DOM replay and reproduces ValidateDocument's verdicts, violation order
 // and messages exactly (held by the TestStreamMatchesDOM differential
-// suite). Subtrees the streaming pass cannot decide incrementally —
+// suite). Subtrees the token stream cannot decide incrementally —
 // identity constraints, or content models compiled to the backtracking
-// interpreter — are buffered privately and degrade to the recursive DOM
-// path. cmd/xsdcheck exposes the streaming path as -stream.
+// interpreter — are buffered privately and replayed through the same
+// machine. cmd/xsdcheck exposes the streaming path as -stream.
 //
 // # Intra-document parallelism
 //
 // Validator.ParallelValidate splits one large document across a
 // GOMAXPROCS-bounded worker pool at sibling-subtree boundaries: the
-// walk descends until it finds a level with at least ParallelMinFanout
-// children, fans contiguous chunks of that level out to workers running
-// the ordinary walk, and joins the document-global state — ordered
-// violations, first-wins ID semantics, IDREF resolution — at the seams
-// (see parallel.go). The verdict is byte-identical to ValidateDocument's,
-// enforced by differential tests and FuzzParallelValidate; documents that
-// reach the violation cap fall back to a sequential rerun. cmd/xsdcheck
-// exposes it as -parallel, xsdserved as ?parallel=1 (size-gated).
+// replay descends until it finds a level with at least ParallelMinFanout
+// element children, fans contiguous chunks of that level out to workers
+// running the subtree entry, and joins the document-global state —
+// ordered violations, IDs, IDREF resolution — at the seams (see
+// parallel.go). The verdict is byte-identical to ValidateDocument's,
+// enforced by differential tests and FuzzParallelValidate; documents
+// whose IDs collide across chunks or that reach the violation cap are
+// rerun sequentially. cmd/xsdcheck exposes it as -parallel, xsdserved as
+// ?parallel=1 (size-gated).
 //
 // # Concurrency
 //

@@ -56,8 +56,8 @@ type StreamEvents interface {
 	RawToken(tok *xmlparser.Token)
 
 	// FallbackElement fires when a subtree the streaming path buffered
-	// for the recursive DOM validator (identity constraints, non-Glushkov
-	// models) has been validated. root is the buffered subtree with the
+	// for replay (identity constraints, non-Glushkov models) has been
+	// validated. root is the buffered subtree with the
 	// in-scope namespace bindings grafted on; it is released after the
 	// callback returns. No OpenElement/CloseElement pair is delivered for
 	// elements inside a fallback subtree.

@@ -12,63 +12,63 @@ import (
 // violation list, the ID/IDREF tables, and the interpreted entry points it
 // delegates cold paths to (xsi:type substitutions, identity constraints,
 // declarations pruned out of the generated code). Sharing the run state is
-// what makes delegation seamless — a subtree handed to the interpreter
+// what makes delegation seamless — a subtree handed to the frame machine
 // appends to the same capped violation list and the same ID table, so the
 // combined verdict is byte-identical to a fully interpreted pass.
 
 // Sink is the per-run state handle driven by generated validator code.
 // Create one per document with NewSink; it is single-goroutine, like the
-// interpreted run it wraps.
+// frame machine it wraps.
 type Sink struct {
-	r run
+	m *machine
 }
 
 // NewSink begins a generated validation run backed by v's schema and
 // options.
-func NewSink(v *Validator) *Sink { return &Sink{r: run{checker: newChecker(v, false)}} }
+func NewSink(v *Validator) *Sink { return &Sink{m: v.newMachine()} }
 
 // Violate records one violation (capped like the interpreted walk).
-func (s *Sink) Violate(path, msg string) { s.r.violate(path, msg) }
+func (s *Sink) Violate(path, msg string) { report(&s.m.res.Violations, path, msg) }
 
 // Full reports whether the violation cap is reached; generated element
 // code returns early on a full sink exactly where the interpreter would.
-func (s *Sink) Full() bool { return len(s.r.res.Violations) >= maxViolations }
+func (s *Sink) Full() bool { return len(s.m.res.Violations) >= maxViolations }
 
-// Element validates a subtree on the interpreted walk. Generated code
+// Element validates a subtree on the frame machine. Generated code
 // delegates here for xsi:type substitutions and pruned declarations.
 func (s *Sink) Element(el *dom.Element, decl *xsd.ElementDecl, path string) {
-	s.r.element(el, decl, path)
+	s.m.enter(el, decl, nil, path)
 }
 
 // ElementContent validates children against ct's content model on the
-// interpreted walk — the fallback when a model was too complex to emit.
+// frame machine — the fallback when a model was too complex to emit.
 func (s *Sink) ElementContent(el *dom.Element, ct *xsd.ComplexType, path string) {
-	s.r.elementContent(el, ct, path)
+	s.m.enter(el, nil, ct, path)
 }
 
 // IdentityConstraints evaluates decl's key/keyref/unique constraints.
 func (s *Sink) IdentityConstraints(el *dom.Element, decl *xsd.ElementDecl, path string) {
-	s.r.checkIdentityConstraints(el, decl, path)
+	checkIdentityConstraints(el, decl, path, &s.m.res.Violations)
 }
 
 // TrackID records an ID value (uniqueness-checked); TrackIDRef and
 // TrackIDRefs record pending references. All three are no-ops when the
 // run's Options.SkipIDChecks is set, like the interpreted walk.
-func (s *Sink) TrackID(lexical, path string) { s.r.ids.add("ID", lexical, path, &s.r.res.Violations) }
+func (s *Sink) TrackID(lexical, path string) { s.m.ids.add("ID", lexical, path, &s.m.res.Violations) }
 
 // TrackIDRef records one pending IDREF.
-func (s *Sink) TrackIDRef(lexical, path string) { s.r.ids.add("IDREF", lexical, path, nil) }
+func (s *Sink) TrackIDRef(lexical, path string) { s.m.ids.add("IDREF", lexical, path, nil) }
 
 // TrackIDRefs records the whitespace-separated references of an IDREFS
 // value.
-func (s *Sink) TrackIDRefs(lexical, path string) { s.r.ids.add("IDREFS", lexical, path, nil) }
+func (s *Sink) TrackIDRefs(lexical, path string) { s.m.ids.add("IDREFS", lexical, path, nil) }
 
 // CheckIDRefs resolves collected IDREFs against seen IDs (document end).
-func (s *Sink) CheckIDRefs() { s.r.ids.resolve(&s.r.res.Violations) }
+func (s *Sink) CheckIDRefs() { s.m.ids.resolve(&s.m.res.Violations) }
 
 // Result returns the run's verdict. The Sink retains the Result; callers
 // must not validate another document through the same Sink.
-func (s *Sink) Result() *Result { return &s.r.res }
+func (s *Sink) Result() *Result { return &s.m.res }
 
 // IsMetaAttr reports whether an attribute is namespace/xsi/xml machinery
 // that validation ignores.

@@ -8,24 +8,23 @@ import (
 )
 
 // idTable is a document's ID/IDREF state: the IDs seen so far, the IDREFs
-// awaiting resolution at document end and, when journaled, a log of every
-// ID occurrence in document order. The log serves two walks that see a
-// document out of the sequential order:
+// awaiting resolution at document end and a journal of every ID
+// occurrence in document order. The journal serves two needs:
 //
-//   - the stream validates an element's children before its content model
-//     can reject them, and then must forget their IDs and IDREFs exactly as
-//     if the DOM walk had never visited them (mark/rollback);
+//   - the frame machine validates an element's children before its
+//     content model can reject them, and then must forget their IDs and
+//     IDREFs exactly as if they had never been seen (mark/rollback);
 //   - a parallel sub-run sees only its chunk of siblings, and its IDs are
-//     replayed against the document's table in child order (join).
+//     added to the document's table in child order (join).
 //
-// One table may serve several runs of one document in turn: the stream
-// hands its table to the DOM run that validates a buffered subtree.
+// One table may serve several machines of one document in turn: the
+// token stream hands its table to the sub-machine that replays a
+// buffered subtree.
 type idTable struct {
-	ids       map[string]string // normalized ID -> path of its first declaration
-	refs      []pendingRef
-	journal   []idEvent
-	journaled bool
-	off       bool // Options.SkipIDChecks: record nothing
+	ids     map[string]string // normalized ID -> path of its first declaration
+	refs    []pendingRef
+	journal []idEvent
+	off     bool // Options.SkipIDChecks: record nothing
 }
 
 // pendingRef is an IDREF awaiting resolution.
@@ -37,13 +36,8 @@ type pendingRef struct {
 // idEvent is one journaled ID occurrence. The path of a first occurrence
 // is the table's entry for it.
 type idEvent struct {
-	id string // whitespace-normalized ID value
-	// vioIdx is len(*out) when the ID was added: where its duplicate
-	// violation landed, or where one belongs if a join finds an earlier
-	// declaration. Only parallel sub-runs, whose out is their result,
-	// read it.
-	vioIdx int
-	dup    bool
+	id  string // whitespace-normalized ID value
+	dup bool
 }
 
 // idMark is a point in the table's history to roll back to.
@@ -78,11 +72,9 @@ func (t *idTable) add(kind, lexical, path string, out *[]Violation) {
 	case "ID":
 		norm := strings.Join(strings.Fields(lexical), " ")
 		prev, dup := t.ids[norm]
-		if t.journaled {
-			t.journal = append(t.journal, idEvent{id: norm, vioIdx: len(*out), dup: dup})
-		}
+		t.journal = append(t.journal, idEvent{id: norm, dup: dup})
 		if dup {
-			report(out, path, duplicateID(norm, prev))
+			report(out, path, fmt.Sprintf("duplicate ID %q (first declared at %s)", norm, prev))
 			return
 		}
 		if t.ids == nil {
@@ -96,10 +88,6 @@ func (t *idTable) add(kind, lexical, path string, out *[]Violation) {
 			t.refs = append(t.refs, pendingRef{id: ref, path: path})
 		}
 	}
-}
-
-func duplicateID(id, first string) string {
-	return fmt.Sprintf("duplicate ID %q (first declared at %s)", id, first)
 }
 
 func (t *idTable) mark() idMark { return idMark{len(t.journal), len(t.refs)} }
@@ -124,35 +112,25 @@ func (t *idTable) resolve(out *[]Violation) {
 	}
 }
 
-// join merges a journaled sub-run's table into t as if its subtree had
-// been walked with t, and returns the sub-run's violations adjusted to
-// match: duplicates within the sub-run cite t's first declaration, and an
-// ID the sub-run declared first but t already holds becomes a duplicate
-// violation spliced in where the sequential walk would have reported it.
-// The result is not capped; the caller checks the joined total.
-func (t *idTable) join(sub *idTable, viols []Violation) []Violation {
-	inserted := 0
+// join adds a sub-run's IDs and IDREFs to t as if its subtree had been
+// walked with t. A duplicate within the sub-run already cites its first
+// declaration, which t does not hold. join reports false when the sub-run
+// declared an ID t already holds: the sequential walk would have reported
+// that duplicate inside the sub-run's violations, so the caller must
+// discard the joined result.
+func (t *idTable) join(sub *idTable) bool {
 	for _, ev := range sub.journal {
-		idx := ev.vioIdx + inserted
-		if ev.dup {
-			if idx < len(viols) {
-				viols[idx].Msg = duplicateID(ev.id, t.ids[ev.id])
+		if !ev.dup {
+			if _, dup := t.ids[ev.id]; dup {
+				return false
 			}
-			continue
+			if t.ids == nil {
+				t.ids = map[string]string{}
+			}
+			t.ids[ev.id] = sub.ids[ev.id]
 		}
-		path := sub.ids[ev.id]
-		if first, dup := t.ids[ev.id]; dup {
-			viols = append(viols, Violation{})
-			copy(viols[idx+1:], viols[idx:])
-			viols[idx] = Violation{Path: path, Msg: duplicateID(ev.id, first)}
-			inserted++
-			continue
-		}
-		if t.ids == nil {
-			t.ids = map[string]string{}
-		}
-		t.ids[ev.id] = path
+		t.journal = append(t.journal, ev)
 	}
 	t.refs = append(t.refs, sub.refs...)
-	return viols
+	return true
 }

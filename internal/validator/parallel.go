@@ -9,33 +9,24 @@ package validator
 // (resolved against the whole document). Following the fragment-typing
 // argument of Abiteboul et al.'s Distributed XML Design — a subtree can
 // be validated against its inferred type in isolation, with only a
-// bounded interface joined at the seam — ParallelValidate fans sibling
-// subtrees out to a worker pool running the ordinary walk. The
-// walk descends sequentially until it reaches a level with enough fan-out
-// to feed the pool (ParallelMinFanout siblings — the root's depth-1
-// children in a wide document, or e.g. the 30k <item> children of
-// <items> in a deep purchase order), splits that level into contiguous
-// chunks, and joins the three global concerns at the seams:
+// bounded interface joined at the seam — the DOM replay descends until
+// it reaches a level with ParallelMinFanout element children (the root's
+// depth-1 children in a wide document, or the <item> children of <items>
+// in a deep purchase order), steps them through the level's automaton
+// and validates contiguous chunks of them on workers through the subtree
+// entry, each chunk with a private ID table. The join at the seams is:
 //
-//   - violations: each subtree's violations are contiguous in document
-//     order, so the join is concatenation in child order;
-//   - IDs: each sub-run keeps a journaled ID table (idTable), logging
-//     its ID events (insertions and local duplicates) in subtree order
-//     with the violation index they map to. The join replays the
-//     journals in child order against the document's table: an insertion
-//     colliding with an earlier subtree's ID becomes a duplicate
-//     violation spliced in at the journaled index, and local duplicate
-//     messages are rewritten to cite the globally first declaration —
-//     exactly what the sequential walk would have said;
-//   - IDREFs: pending references concatenate in child order and resolve
-//     against the joined map, preserving emission order.
+//   - violations: concatenation in child order;
+//   - IDs: each chunk's journal is added to the document's table in
+//     child order; a duplicate inside a chunk already cites the right
+//     first declaration;
+//   - IDREFs: concatenation in child order, resolved at document end.
 //
-// One sequential behavior cannot be reproduced piecewise: the walk stops
-// descending once the violation cap (maxViolations) is reached, so IDs
-// and violations past the cap depend on global order. When the joined
-// result reaches the cap, ParallelValidate discards it and reruns the
-// plain sequential walk — correctness by construction on the (rare,
-// already-pathological) documents that hit the cap.
+// A chunk's ID that the table already holds would need its duplicate
+// violation inside the chunk's sequence, and past the violation cap
+// (maxViolations) what is kept depends on global order. A document that
+// shows either is rerun sequentially: correctness by construction on
+// documents that are invalid anyway.
 //
 // The verdict is byte-identical to ValidateDocument — same violations,
 // same order, same paths, same message text — enforced by the
@@ -70,48 +61,61 @@ func (v *Validator) ParallelValidate(doc *dom.Document, workers int) *Result {
 		// keep them on the deterministic sequential walk.
 		return v.ValidateDocument(doc)
 	}
-	r := v.newRun()
-	r.parWorkers = workers
-	if res := r.document(doc); len(res.Violations) < maxViolations {
+	m := v.newMachine()
+	m.workers = workers
+	if res := m.document(doc); len(res.Violations) < maxViolations && !m.collided {
 		return res
 	}
-	// The sequential walk stops descending at the violation cap, so
-	// everything past it depends on global order; rerun sequentially.
 	return v.ValidateDocument(doc)
 }
 
-// ParallelMinFanout is the child count below which a level is walked
-// sequentially (with the split deferred to deeper levels): fan-out and
-// join overhead only pay for themselves when there are enough sibling
-// subtrees to spread. A variable so the seam tests can force tiny splits.
+// ParallelMinFanout is the element-child count below which a level is
+// replayed sequentially (with the split deferred to deeper levels):
+// fan-out and join overhead only pay for themselves when there are enough
+// sibling subtrees to spread. A variable so the seam tests can force tiny
+// splits.
 var ParallelMinFanout = 16
 
-// parallelChildren fans one level's already-matched children out to
-// workers in contiguous chunks (document order within a chunk, chunks
-// joined in order). It reports whether it handled the children; false
-// means the caller should fall through to the sequential loop.
-func (r *run) parallelChildren(children []*dom.Element, leaves []*contentmodel.Leaf, path string, workers int) bool {
-	if len(children) < 2 || len(r.res.Violations) >= maxViolations {
+// fanOut validates the element children of el, whose frame is open, on
+// m.workers goroutines if there are at least ParallelMinFanout of them,
+// and reports whether it did; the replay then skips them. Chunks join
+// into the frame in document order. A content-model failure found while
+// stepping the children is the frame's verdict, as on the sequential
+// replay, and no child is validated.
+func (m *machine) fanOut(el *dom.Element) bool {
+	f := m.top()
+	if f.mode != fmModel || f.failed || len(el.ChildNodes()) < ParallelMinFanout {
 		return false
+	}
+	children := el.ChildElements()
+	if len(children) < ParallelMinFanout {
+		return false
+	}
+	leaves := f.leaves
+	if !f.interp {
+		leaves = make([]*contentmodel.Leaf, len(children))
+		for i, c := range children {
+			leaf, merr := f.run.Step(contentmodel.Symbol{Space: c.NamespaceURI(), Local: c.LocalName()})
+			if merr != nil {
+				m.rejectContent(f, childPath(f.path, c), merr.Error())
+				return true
+			}
+			leaves[i] = leaf
+		}
 	}
 	// Child paths are order-dependent (positional predicates count per
 	// tag name); compute them up front, sequentially.
-	var counts childCounts
-	cpaths := make([]string, len(children))
-	for i, child := range children {
-		cpaths[i] = counts.path(path, child.TagName())
+	paths := make([]string, len(children))
+	for i, c := range children {
+		paths[i] = f.counts.path(f.path, c.TagName())
 	}
 	// A few chunks per worker so an expensive subtree doesn't leave the
 	// other workers idle at the end of the level.
-	chunk := (len(children) + workers*4 - 1) / (workers * 4)
-	if chunk < 1 {
-		chunk = 1
-	}
+	workers := m.workers
+	chunk := max(1, (len(children)+workers*4-1)/(workers*4))
 	nchunks := (len(children) + chunk - 1) / chunk
-	if workers > nchunks {
-		workers = nchunks
-	}
-	subs := make([]*run, nchunks)
+	workers = min(workers, nchunks)
+	subs := make([]*machine, nchunks)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -123,19 +127,28 @@ func (r *run) parallelChildren(children []*dom.Element, leaves []*contentmodel.L
 				if c >= nchunks {
 					return
 				}
-				sub := &run{checker: newChecker(r.v, true)}
+				sub := m.v.newMachine()
 				subs[c] = sub
 				for i := c * chunk; i < min((c+1)*chunk, len(children)); i++ {
-					sub.child(children[i], leaves[i], cpaths[i])
+					child := children[i]
+					decl, _, err := m.v.childDecl(leaves[i], xsd.QName{Space: child.NamespaceURI(), Local: child.LocalName()})
+					if err != nil {
+						report(&sub.res.Violations, paths[i], err.Error())
+					} else if decl != nil {
+						sub.enter(child, decl, nil, paths[i])
+					}
 				}
 			}
 		}()
 	}
 	wg.Wait()
 	for _, sub := range subs {
-		// Append without the cap: ParallelValidate checks the joined
-		// total and falls back to the sequential walk.
-		r.res.Violations = append(r.res.Violations, r.ids.join(sub.ids, sub.res.Violations)...)
+		if !m.ids.join(sub.ids) {
+			m.collided = true
+		}
+		// Append without the cap: ParallelValidate checks the total and
+		// reruns sequentially at the cap.
+		f.childViols = append(f.childViols, sub.res.Violations...)
 	}
 	return true
 }

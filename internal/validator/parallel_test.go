@@ -108,20 +108,20 @@ func TestParallelSeamCorrectness(t *testing.T) {
 		  <node><sub ref="deep"/></node>
 		</doc>`,
 
-		// Cross-seam duplicate: the violation must be spliced into the
-		// second subtree's sequence at exactly the sequential position,
-		// citing the first subtree's path.
+		// Cross-chunk duplicate: the join finds the collision and reruns
+		// sequentially, so the violation lands inside the second
+		// subtree's sequence, citing the first subtree's path.
 		"duplicate id across subtrees": `<doc><node id="d"/><node><v>bad</v><sub id="d"/><v>alsobad</v></node></doc>`,
-		// Triple duplicate across three subtrees: two spliced violations,
-		// both citing the globally first declaration.
+		// Triple duplicate across three subtrees: two violations, both
+		// citing the globally first declaration.
 		"triple duplicate": `<doc><node id="t"/><node id="t"/><node id="t"/></doc>`,
-		// Duplicate inside one subtree whose globally-first declaration is
-		// in an earlier subtree: the local message must be rewritten to
+		// Cross-chunk local duplicate: a duplicate inside one subtree
+		// whose globally-first declaration is in an earlier subtree must
 		// cite the global first path.
 		"local dup with earlier global": `<doc><node id="g"/><node><sub id="g"/><sub id="g"/></node></doc>`,
 		// Root attribute declares the ID before any subtree runs.
 		"root attr id first": `<doc rootId="r"><node id="r"/><node ref="r"/></doc>`,
-		// ID value whitespace normalization must survive the journal.
+		// ID value whitespace normalization must survive the join.
 		"normalized ids": `<doc><node id=" n  1 "/><node id="n 1"/></doc>`,
 
 		// xsi:type at depth 1: type resolution happens inside the worker.

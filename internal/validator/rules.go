@@ -1,6 +1,6 @@
 package validator
 
-// The element rules every walk applies (see "One set of rules" in the
+// The element rules the frame machine applies (see "One walk" in the
 // package documentation).
 
 import (
@@ -22,19 +22,6 @@ func report(dst *[]Violation, path, msg string) {
 	if len(*dst) < maxViolations {
 		*dst = append(*dst, Violation{Path: path, Msg: msg})
 	}
-}
-
-// checker is what the rules need besides the element: the validator
-// (schema and options) and the document's ID table.
-type checker struct {
-	v   *Validator
-	ids *idTable
-}
-
-// newChecker starts a document's state. journaled turns on the ID table's
-// occurrence log (see idTable).
-func newChecker(v *Validator, journaled bool) checker {
-	return checker{v: v, ids: &idTable{off: v.opts.SkipIDChecks, journaled: journaled}}
 }
 
 // msgNilled is the violation for any content inside a nilled element.
@@ -129,7 +116,7 @@ func isMetaName(n xmlparser.Name) bool {
 // to parse and to equal its fixed value, and every required attribute to
 // be present. ID-family values go to the ID table under the attribute's
 // path.
-func (c *checker) attributes(typ xsd.Type, n int, at func(int) (xmlparser.Name, string), path string, out *[]Violation) {
+func (m *machine) attributes(typ xsd.Type, n int, at func(int) (xmlparser.Name, string), path string, out *[]Violation) {
 	ct, _ := typ.(*xsd.ComplexType)
 	for i := 0; i < n; i++ {
 		name, value := at(i)
@@ -157,8 +144,8 @@ func (c *checker) attributes(typ xsd.Type, n int, at func(int) (xmlparser.Name, 
 				report(out, path, fmt.Sprintf("attribute %q must have the fixed value %q", name.Qualified(), *use.Fixed))
 			}
 		}
-		if kind := c.ids.kind(use.Decl.Type); kind != "" {
-			c.ids.add(kind, value, path+"/@"+name.Qualified(), out)
+		if kind := m.ids.kind(use.Decl.Type); kind != "" {
+			m.ids.add(kind, value, path+"/@"+name.Qualified(), out)
 		}
 	}
 	if ct == nil {
@@ -185,7 +172,7 @@ func hasAttr(n int, at func(int) (xmlparser.Name, string), q xsd.QName) bool {
 // elements; the declaration's default or fixed value stands in for empty
 // text; the value must parse and equal the fixed value; ID-family values
 // go to the ID table. ok reports a parsed value.
-func (c *checker) simpleText(st *xsd.SimpleType, decl *xsd.ElementDecl, elemChild bool, text, path string, out *[]Violation) (val xsdtypes.Value, ok bool) {
+func (m *machine) simpleText(st *xsd.SimpleType, decl *xsd.ElementDecl, elemChild bool, text, path string, out *[]Violation) (val xsdtypes.Value, ok bool) {
 	if elemChild {
 		report(out, path, "element content is not allowed in a simple-type element")
 		return val, false
@@ -206,14 +193,14 @@ func (c *checker) simpleText(st *xsd.SimpleType, decl *xsd.ElementDecl, elemChil
 			report(out, path, fmt.Sprintf("value %q does not equal the fixed value %q", text, *decl.Fixed))
 		}
 	}
-	c.ids.track(st, text, path, out)
+	m.ids.track(st, text, path, out)
 	return val, true
 }
 
 // contentText checks the content of a complex type with simple content.
 // Unlike simpleText it has no default or fixed value, and it records an
 // ID-family value even when the value fails to parse.
-func (c *checker) contentText(st *xsd.SimpleType, elemChild bool, text, path string, out *[]Violation) (val xsdtypes.Value, ok bool) {
+func (m *machine) contentText(st *xsd.SimpleType, elemChild bool, text, path string, out *[]Violation) (val xsdtypes.Value, ok bool) {
 	if elemChild {
 		report(out, path, "element content is not allowed in simple content")
 		return val, false
@@ -222,7 +209,7 @@ func (c *checker) contentText(st *xsd.SimpleType, elemChild bool, text, path str
 	if err != nil {
 		report(out, path, err.Error())
 	}
-	c.ids.track(st, text, path, out)
+	m.ids.track(st, text, path, out)
 	return val, err == nil
 }
 

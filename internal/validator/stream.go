@@ -1,39 +1,43 @@
 package validator
 
-// Streaming validation: the paper's §5–6 pipeline compiles content models
-// to Glushkov automata precisely so validity can be decided incrementally.
-// StreamValidator drives those automata directly off the token
-// stream with an explicit element/automaton-state stack — O(depth) memory,
-// no DOM allocation — while reproducing ValidateDocument's verdicts and
-// messages exactly.
+// The frame machine: the one walk every entry point runs. The paper's
+// §5–6 pipeline compiles content models to Glushkov automata precisely so
+// validity can be decided in one left-to-right pass; the machine drives
+// those automata from start, text, CDATA, comment, PI and end events with
+// an explicit element/automaton-state stack. Two drivers feed it: the
+// token loop below (StreamValidator, O(depth) memory, no DOM) and the DOM
+// replay in validator.go (ValidateDocument and every other tree entry).
 //
-// The DOM validator is not causal: when an element's content model fails,
-// it reports the one match error and validates none of the children, and
-// ID tracking never sees the abandoned subtree. A streaming pass has
-// already validated the prefix children by the time the automaton rejects,
-// so verdict parity needs two mechanisms:
+// A content model can reject an element only after its earlier children
+// have been validated, and the verdict must then be the element's match
+// error alone, as if those children had never been seen. Two mechanisms
+// make that so:
 //
 //   - per-frame violation buffering: each open element accumulates its
 //     attribute, text and child violations separately and assembles them
-//     in DOM emission order at its end tag; a content-model failure drops
-//     the buffered child violations wholesale.
+//     at its end (attributes, text, then the match error or the children);
+//     a content-model failure drops the buffered child violations
+//     wholesale.
 //   - a journaled ID table (idTable): each frame marks the table after its
 //     own attributes, and on content-model failure the IDs and pending
 //     IDREFs recorded past the mark are rolled back. Between a frame's
 //     mark and its failure only to-be-dropped descendants run, so rollback
-//     restores exactly the state the DOM validator would have.
+//     restores exactly the state before them.
 //
-// Elements the streaming path cannot decide incrementally — identity
-// constraints (which need the whole subtree) and content models compiled
-// to the backtracking interpreter (contentmodel.ErrTooComplex) — degrade
-// gracefully: their subtree is buffered into a private DOM fragment and
-// validated by the ordinary recursive path with the stream's ID table.
+// Two things need more than the events so far: identity constraints need
+// the constrained element's whole subtree, and content models compiled to
+// the backtracking interpreter (contentmodel.ErrTooComplex) match a whole
+// child sequence at once. The DOM replay has the element at hand, so it
+// checks constraints when the element's frame closes and matches an
+// interpreted model when the frame opens. The token stream buffers such
+// a subtree into a private DOM fragment and replays it.
 
 import (
 	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"strings"
 
 	"repro/internal/contentmodel"
 	"repro/internal/dom"
@@ -101,9 +105,10 @@ func (sv *StreamValidator) validate(ctx context.Context, dec *xmlparser.Decoder,
 		default:
 		}
 	}
-	sr := &streamRun{checker: newChecker(sv.v, true), events: ev}
+	m := sv.v.newMachine()
+	m.events = ev
 	sinceCheck := 0
-	// tok is declared once: the loop hands its address to sr.token, so a
+	// tok is declared once: the loop hands its address to m.token, so a
 	// per-iteration declaration would move every token to the heap.
 	var tok xmlparser.Token
 	var err error
@@ -128,34 +133,39 @@ func (sv *StreamValidator) validate(ctx context.Context, dec *xmlparser.Decoder,
 			// observed in the prefix.
 			return &Result{Violations: []Violation{{Path: "/", Msg: err.Error()}}}, nil
 		}
-		sr.token(&tok)
+		m.token(&tok)
 	}
-	sr.ids.resolve(&sr.res.Violations)
-	return &sr.res, nil
+	m.ids.resolve(&m.res.Violations)
+	return &m.res, nil
 }
 
-// frame modes.
+// frame modes. The modes before fmNilled validate the element's content.
 const (
-	fmModel    = iota // complex element-only/mixed content, Glushkov Run
+	fmModel    = iota // complex element-only/mixed content
 	fmSimple          // simple-typed element
 	fmCSimple         // complex type with simple content
 	fmCEmpty          // complex type with empty content
 	fmNilled          // xsi:nil="true" on a nillable element
 	fmDead            // xsi:type/abstract/nil gate failed; subtree skipped
-	fmFallback        // subtree buffered for the DOM path
+	fmFallback        // subtree buffered for the DOM replay
 )
 
-// frame is one open element on the streaming stack.
+// frame is one open element on the machine's stack.
 type frame struct {
 	path string
-	decl *xsd.ElementDecl
+	decl *xsd.ElementDecl // nil for a content-only frame (Sink.ElementContent)
 	mode int
+	el   *dom.Element // the element on the DOM replay; nil on the token stream
 
 	st    *xsd.SimpleType   // fmSimple / fmCSimple value type
-	run   *contentmodel.Run // fmModel automaton state
+	run   *contentmodel.Run // fmModel Glushkov automaton state
 	mixed bool
+	// interp marks an fmModel frame whose interpreted model matched the
+	// children up front; leaves holds the leaves of those not yet opened.
+	interp bool
+	leaves []*contentmodel.Leaf
 
-	// Buffered violations, assembled in DOM order at the end tag.
+	// Buffered violations, assembled at the end tag.
 	attrViols   []Violation
 	textViols   []Violation
 	childViols  []Violation
@@ -205,14 +215,15 @@ type nsBinding struct {
 	uri  string
 }
 
-// streamRun is one streaming validation pass.
-type streamRun struct {
-	checker
+// machine is one validation pass of the frame machine.
+type machine struct {
+	v   *Validator
+	ids *idTable
 	res Result
 
 	frames    []*frame
 	free      []*frame // recycled frames; popped elements return here
-	skipDepth int      // >0: inside an unvalidated subtree
+	skipDepth int      // >0: inside an unvalidated subtree (token stream)
 	rootDone  bool
 
 	// events, when non-nil, receives the structural callbacks; rawSkip
@@ -222,24 +233,44 @@ type streamRun struct {
 	rawSkip bool
 
 	ns []nsBinding
+
+	// tok is the start tag the DOM replay hands to the machine, reused,
+	// attribute slice included, for every element.
+	tok xmlparser.Token
+	// sub replays the token stream's buffered subtrees.
+	sub *machine
+
+	// workers, when > 1, makes the DOM replay validate every level with
+	// at least ParallelMinFanout element children on that many workers
+	// (parallel.go); collided records that a parallel level's IDs
+	// collided with the document's, which voids the run.
+	workers  int
+	collided bool
 }
 
-func (sr *streamRun) top() *frame {
-	if len(sr.frames) == 0 {
+func (v *Validator) newMachine() *machine {
+	return &machine{v: v, ids: &idTable{off: v.opts.SkipIDChecks}}
+}
+
+func (m *machine) top() *frame {
+	if len(m.frames) == 0 {
 		return nil
 	}
-	return sr.frames[len(sr.frames)-1]
+	return m.frames[len(m.frames)-1]
 }
 
-// newFrame returns a recycled or fresh frame.
-func (sr *streamRun) newFrame(path string, decl *xsd.ElementDecl, nsMark int) *frame {
-	if n := len(sr.free); n > 0 {
-		f := sr.free[n-1]
-		sr.free = sr.free[:n-1]
+// newFrame pushes a recycled or fresh frame.
+func (m *machine) newFrame(path string, decl *xsd.ElementDecl, nsMark int) *frame {
+	var f *frame
+	if n := len(m.free); n > 0 {
+		f = m.free[n-1]
+		m.free = m.free[:n-1]
 		f.reset(path, decl, nsMark)
-		return f
+	} else {
+		f = &frame{path: path, decl: decl, nsMark: nsMark}
 	}
-	return &frame{path: path, decl: decl, nsMark: nsMark}
+	m.frames = append(m.frames, f)
+	return f
 }
 
 // recycle returns a popped frame to the free list. Its buffered violations
@@ -247,106 +278,117 @@ func (sr *streamRun) newFrame(path string, decl *xsd.ElementDecl, nsMark int) *f
 // frame twice would hand its contentmodel.Run to two live frames at once —
 // exactly the interleaving the Run's single-owner contract forbids — so a
 // double recycle panics here instead of corrupting a later match.
-func (sr *streamRun) recycle(f *frame) {
+func (m *machine) recycle(f *frame) {
 	if f.pooled {
-		panic("validator: stream frame recycled twice")
+		panic("validator: frame recycled twice")
 	}
 	f.pooled = true
-	sr.free = append(sr.free, f)
+	m.free = append(m.free, f)
 }
 
 // token dispatches one parse event.
-func (sr *streamRun) token(tok *xmlparser.Token) {
-	if sr.skipDepth > 0 {
-		if sr.rawSkip {
-			sr.events.RawToken(tok)
+func (m *machine) token(tok *xmlparser.Token) {
+	if m.skipDepth > 0 {
+		if m.rawSkip {
+			m.events.RawToken(tok)
 		}
 		switch tok.Kind {
 		case xmlparser.KindStartElement:
-			sr.skipDepth++
+			m.skipDepth++
 		case xmlparser.KindEndElement:
-			if sr.skipDepth--; sr.skipDepth == 0 {
-				sr.rawSkip = false
+			if m.skipDepth--; m.skipDepth == 0 {
+				m.rawSkip = false
 			}
 		}
 		return
 	}
-	if f := sr.top(); f != nil && f.mode == fmFallback {
-		sr.feedFallback(f, tok)
+	if f := m.top(); f != nil && f.mode == fmFallback {
+		m.feedFallback(f, tok)
 		return
 	}
 	switch tok.Kind {
 	case xmlparser.KindStartElement:
-		sr.startElement(tok)
-	case xmlparser.KindEndElement:
-		sr.endElement()
-	case xmlparser.KindText:
-		sr.textNode(tok, false)
-	case xmlparser.KindCData:
-		sr.textNode(tok, true)
-	case xmlparser.KindComment, xmlparser.KindProcInst:
-		// Comments and PIs are DOM child nodes: they violate only the
-		// "nilled element must be empty" rule.
-		if f := sr.top(); f != nil && f.mode == fmNilled {
-			f.setFailed(msgNilled)
+		if !m.startElement(tok, nil) {
+			m.skipDepth = 1
 		}
+	case xmlparser.KindEndElement:
+		m.endElement()
+	case xmlparser.KindText:
+		if data := tok.Bytes(); len(data) > 0 { // dom.Parse drops empty text nodes
+			text(m, data, false, tok)
+		}
+	case xmlparser.KindCData:
+		text(m, tok.Bytes(), true, tok)
+	case xmlparser.KindComment, xmlparser.KindProcInst:
+		m.misc()
 	}
 }
 
-func (sr *streamRun) startElement(tok *xmlparser.Token) {
-	nsMark := len(sr.ns)
+// bind pushes the namespace declarations of a start tag and returns the
+// stack mark to restore when the element ends.
+func (m *machine) bind(tok *xmlparser.Token) int {
+	mark := len(m.ns)
 	for i := range tok.Attrs {
 		if a := &tok.Attrs[i]; a.IsNamespaceDecl {
-			sr.ns = append(sr.ns, nsBinding{name: a.Name.Local, uri: a.Value})
+			m.ns = append(m.ns, nsBinding{name: a.Name.Local, uri: a.Value})
 		}
 	}
-	parent := sr.top()
-	if parent == nil {
-		if sr.rootDone {
-			sr.skipChild(nsMark)
-			return
+	return mark
+}
+
+// startElement opens the element tok starts (el on the DOM replay, nil on
+// the token stream) and reports whether it pushed a frame for it. When it
+// did not, the element's subtree is not validated and the driver skips it.
+func (m *machine) startElement(tok *xmlparser.Token, el *dom.Element) bool {
+	nsMark := m.bind(tok)
+	parent := m.top()
+	switch {
+	case parent == nil && !m.rootDone:
+		// The token stream's document element (the replay opens its own).
+		if decl, fail := m.v.rootDecl(tok.Name); decl == nil {
+			report(&m.res.Violations, "/"+tok.Name.Qualified(), fail)
+			m.rootDone = true
+		} else {
+			m.pushFrame(tok, nil, decl, "/"+tok.Name.Qualified(), nsMark, false)
+			return true
 		}
-		decl, fail := sr.v.rootDecl(tok.Name)
-		if decl == nil {
-			report(&sr.res.Violations, "/"+tok.Name.Qualified(), fail)
-			sr.rootDone = true
-			sr.skipChild(nsMark)
-			return
-		}
-		sr.pushFrame(tok, decl, "/"+tok.Name.Qualified(), nsMark, false)
-		return
-	}
-	switch parent.mode {
-	case fmModel:
+	case parent == nil: // an element after the document element
+	case parent.mode == fmModel:
 		if parent.failed {
 			break
 		}
-		leaf, merr := parent.run.Step(contentmodel.Symbol{Space: tok.Name.Space, Local: tok.Name.Local})
-		if merr != nil {
-			sr.rejectContent(parent, parent.path+"/"+tok.Name.Qualified(), merr.Error())
-			break
+		var leaf *contentmodel.Leaf
+		if parent.interp {
+			leaf, parent.leaves = parent.leaves[0], parent.leaves[1:]
+		} else {
+			var merr *contentmodel.MatchError
+			if leaf, merr = parent.run.Step(contentmodel.Symbol{Space: tok.Name.Space, Local: tok.Name.Local}); merr != nil {
+				m.rejectContent(parent, parent.path+"/"+tok.Name.Qualified(), merr.Error())
+				break
+			}
 		}
 		cpath := parent.counts.path(parent.path, tok.Name.Qualified())
-		decl, wild, err := sr.v.childDecl(leaf, xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local})
+		decl, wild, err := m.v.childDecl(leaf, xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local})
 		if err != nil {
 			report(&parent.childViols, cpath, err.Error())
 		} else if decl != nil {
-			sr.pushFrame(tok, decl, cpath, nsMark, wild)
-			return
-		} else if wild && sr.events != nil {
+			m.pushFrame(tok, el, decl, cpath, nsMark, wild)
+			return true
+		} else if wild && m.events != nil {
 			// Deliver the unvalidated subtree raw, starting with this
 			// start tag.
-			sr.events.RawToken(tok)
-			sr.rawSkip = true
+			m.events.RawToken(tok)
+			m.rawSkip = true
 		}
-	case fmSimple, fmCSimple:
+	case parent.mode == fmSimple || parent.mode == fmCSimple:
 		parent.sawElemChild = true
-	case fmCEmpty:
+	case parent.mode == fmCEmpty:
 		parent.setFailed(fmt.Sprintf("element <%s> is not allowed in empty content", tok.Name.Qualified()))
-	case fmNilled:
+	case parent.mode == fmNilled:
 		parent.setFailed(msgNilled)
 	}
-	sr.skipChild(nsMark)
+	m.ns = m.ns[:nsMark]
+	return false
 }
 
 // setFailed records the frame's first content violation.
@@ -357,20 +399,12 @@ func (f *frame) setFailed(msg string) {
 	}
 }
 
-// skipChild discards the bindings pushed for the current start tag and
-// skips its subtree; the matching (possibly synthesized) end tag
-// rebalances skipDepth.
-func (sr *streamRun) skipChild(nsMark int) {
-	sr.ns = sr.ns[:nsMark]
-	sr.skipDepth = 1
-}
-
 // lookupNS finds the innermost binding of prefix ("xmlns" for the default
 // namespace).
-func (sr *streamRun) lookupNS(prefix string) (string, bool) {
-	for i := len(sr.ns) - 1; i >= 0; i-- {
-		if sr.ns[i].name == prefix {
-			return sr.ns[i].uri, true
+func (m *machine) lookupNS(prefix string) (string, bool) {
+	for i := len(m.ns) - 1; i >= 0; i-- {
+		if m.ns[i].name == prefix {
+			return m.ns[i].uri, true
 		}
 	}
 	return "", false
@@ -378,14 +412,17 @@ func (sr *streamRun) lookupNS(prefix string) (string, bool) {
 
 // pushFrame opens the element's frame: it applies the governing-type
 // rule, checks the attributes and sets the frame up for its content.
-// wild marks an element admitted by a content-model wildcard.
-func (sr *streamRun) pushFrame(tok *xmlparser.Token, decl *xsd.ElementDecl, path string, nsMark int, wild bool) {
-	f := sr.newFrame(path, decl, nsMark)
-	f.wild = wild
-	sr.frames = append(sr.frames, f)
+// el is the element on the DOM replay and nil on the token stream; wild
+// marks an element admitted by a content-model wildcard.
+func (m *machine) pushFrame(tok *xmlparser.Token, el *dom.Element, decl *xsd.ElementDecl, path string, nsMark int, wild bool) {
+	if obs := m.v.opts.ElementObserver; obs != nil {
+		obs(decl)
+	}
+	f := m.newFrame(path, decl, nsMark)
+	f.el, f.wild = el, wild
 	xsiType, _ := tok.Attr(xsd.XSINamespace, "type")
 	xsiNil, _ := tok.Attr(xsd.XSINamespace, "nil")
-	typ, nilled, fail := sr.v.governingType(decl, xsiType, xsiNil, sr.lookupNS)
+	typ, nilled, fail := m.v.governingType(decl, xsiType, xsiNil, m.lookupNS)
 	if fail != "" {
 		f.mode = fmDead
 		f.setFailed(fail)
@@ -393,25 +430,24 @@ func (sr *streamRun) pushFrame(tok *xmlparser.Token, decl *xsd.ElementDecl, path
 	}
 	if nilled {
 		f.mode = fmNilled
-		sr.announce(f, typ, tok, true)
+		m.announce(f, typ, tok, true)
 		return
 	}
-	// Degrade to the DOM path where streaming cannot decide: identity
-	// constraints need the whole subtree, and Interp-compiled content
-	// models are not incremental.
 	ct, _ := typ.(*xsd.ComplexType)
-	model := ct != nil && (ct.Kind == xsd.ContentElementOnly || ct.Kind == xsd.ContentMixed)
-	var g *contentmodel.Glushkov
-	if model {
-		g, _ = ct.Matcher(sr.v.schema).(*contentmodel.Glushkov)
+	var mt contentmodel.Matcher
+	if ct != nil && (ct.Kind == xsd.ContentElementOnly || ct.Kind == xsd.ContentMixed) {
+		mt = ct.Matcher(m.v.schema)
 	}
-	if len(decl.Constraints) > 0 || (model && g == nil) {
-		sr.startFallback(f, tok)
+	// The token stream buffers what events alone cannot decide: identity
+	// constraints and interpreted content models.
+	if _, glushkov := mt.(*contentmodel.Glushkov); el == nil && (len(decl.Constraints) > 0 || mt != nil && !glushkov) {
+		m.startFallback(f, tok)
 		return
 	}
-	sr.attributes(typ, len(tok.Attrs), func(i int) (xmlparser.Name, string) {
+	m.attributes(typ, len(tok.Attrs), func(i int) (xmlparser.Name, string) {
 		return tok.Attrs[i].Name, tok.Attrs[i].Value
 	}, f.path, &f.attrViols)
+	f.ids = m.ids.mark()
 	switch {
 	case ct == nil:
 		f.mode = fmSimple
@@ -421,59 +457,78 @@ func (sr *streamRun) pushFrame(tok *xmlparser.Token, decl *xsd.ElementDecl, path
 		f.st = ct.SimpleContentType
 	case ct.Kind == xsd.ContentEmpty:
 		f.mode = fmCEmpty
-	case model:
-		f.mode = fmModel
-		f.mixed = ct.Kind == xsd.ContentMixed
+	case mt != nil:
+		m.openModel(f, mt, ct.Kind == xsd.ContentMixed)
+	}
+	m.announce(f, typ, tok, false)
+}
+
+// openModel sets f up to match its element-only or mixed content against
+// mt. A Glushkov automaton is stepped as the children open; an
+// interpreted model, which is not incremental, matches the replayed
+// element's whole child sequence now.
+func (m *machine) openModel(f *frame, mt contentmodel.Matcher, mixed bool) {
+	f.mode = fmModel
+	f.mixed = mixed
+	if g, ok := mt.(*contentmodel.Glushkov); ok {
 		if f.run != nil {
 			f.run.Reset(g)
 		} else {
 			f.run = g.Start()
 		}
+		return
 	}
-	f.ids = sr.ids.mark()
-	sr.announce(f, typ, tok, false)
+	children := f.el.ChildElements()
+	symbols := make([]contentmodel.Symbol, len(children))
+	for i, c := range children {
+		symbols[i] = contentmodel.Symbol{Space: c.NamespaceURI(), Local: c.LocalName()}
+	}
+	f.interp = true
+	var merr *contentmodel.MatchError
+	if f.leaves, merr = mt.Match(symbols); merr != nil {
+		loc := f.path
+		if merr.Index < len(children) {
+			loc = childPath(f.path, children[merr.Index])
+		}
+		m.rejectContent(f, loc, merr.Error())
+	}
 }
 
 // announce delivers OpenElement for a frame that passed the prologue.
-func (sr *streamRun) announce(f *frame, typ xsd.Type, tok *xmlparser.Token, nilled bool) {
-	if sr.events == nil {
+func (m *machine) announce(f *frame, typ xsd.Type, tok *xmlparser.Token, nilled bool) {
+	if m.events == nil {
 		return
 	}
 	f.announced = true
-	sr.events.OpenElement(f.decl, typ, tok, nilled, f.wild)
+	m.events.OpenElement(f.decl, typ, tok, nilled, f.wild)
 }
 
-// textNode consumes a character-data or CDATA token. It works on the
-// token's zero-copy byte view: whitespace checks and simple-content
-// accumulation never materialize a string, so pure scanning stays
-// allocation-free. Strings are built only when a violation needs a
-// snippet or a binding consumer wants the mixed text.
-func (sr *streamRun) textNode(tok *xmlparser.Token, cdata bool) {
-	f := sr.top()
+// text consumes the character data of a text node, or of a CDATA section
+// when cdata is set. The token stream passes the decoder's byte view and
+// the DOM replay the node's string, so neither is copied; tok is the
+// token on the stream (nil on the replay), for the MixedText event.
+func text[T string | []byte](m *machine, data T, cdata bool, tok *xmlparser.Token) {
+	f := m.top()
 	if f == nil {
 		return // document-level whitespace or misc
-	}
-	data := tok.Bytes()
-	if !cdata && len(data) == 0 {
-		return // dom.Parse drops empty text nodes
 	}
 	switch f.mode {
 	case fmModel:
 		if f.mixed {
-			if sr.events != nil {
-				sr.events.MixedText(tok.Data())
+			if m.events != nil {
+				m.events.MixedText(tok.Data())
 			}
 			return
 		}
 		if cdata {
 			report(&f.textViols, f.path, "character data is not allowed in element-only content")
-		} else if len(bytes.TrimSpace(data)) != 0 {
-			report(&f.textViols, f.path, fmt.Sprintf("character data %q is not allowed in element-only content", snippet(tok.Data())))
+		} else if !blank(data) {
+			report(&f.textViols, f.path, fmt.Sprintf("character data %q is not allowed in element-only content", snippet(string(data))))
 		}
 	case fmSimple, fmCSimple:
 		f.textBuf = append(f.textBuf, data...)
 	case fmCEmpty:
-		if cdata || len(bytes.TrimSpace(data)) != 0 {
+		if cdata || !blank(data) {
 			f.setFailed("character data is not allowed in empty content")
 		}
 	case fmNilled:
@@ -481,54 +536,75 @@ func (sr *streamRun) textNode(tok *xmlparser.Token, cdata bool) {
 	}
 }
 
-func (sr *streamRun) endElement() {
-	n := len(sr.frames)
+// blank reports whether s is all white space, without copying it.
+func blank[T string | []byte](s T) bool {
+	if b, ok := any(s).([]byte); ok {
+		return len(bytes.TrimSpace(b)) == 0
+	}
+	return strings.TrimSpace(string(s)) == ""
+}
+
+// misc consumes a comment or processing instruction. They are child nodes,
+// so they violate only the "nilled element must be empty" rule.
+func (m *machine) misc() {
+	if f := m.top(); f != nil && f.mode == fmNilled {
+		f.setFailed(msgNilled)
+	}
+}
+
+func (m *machine) endElement() {
+	n := len(m.frames)
 	if n == 0 {
 		return
 	}
-	f := sr.frames[n-1]
-	sr.frames = sr.frames[:n-1]
-	sr.ns = sr.ns[:f.nsMark]
-	sr.deliver(sr.closeFrame(f))
-	if f.announced {
-		sr.events.CloseElement(f.evVal)
+	f := m.frames[n-1]
+	m.frames = m.frames[:n-1]
+	m.ns = m.ns[:f.nsMark]
+	viols := m.closeFrame(f)
+	if f.mode < fmNilled && f.decl != nil && len(f.decl.Constraints) > 0 {
+		// Only the DOM replay closes a constrained frame: the token
+		// stream buffers it (fmFallback) and replays the buffer.
+		checkIdentityConstraints(f.el, f.decl, f.path, &viols)
 	}
-	sr.recycle(f)
+	m.deliver(viols)
+	if f.announced {
+		m.events.CloseElement(f.evVal)
+	}
+	m.recycle(f)
 }
 
 // deliver routes a closed frame's violations to its parent's buffer, or
-// to the result when the root closes.
-func (sr *streamRun) deliver(viols []Violation) {
-	if p := sr.top(); p != nil {
+// to the result when the outermost frame closes.
+func (m *machine) deliver(viols []Violation) {
+	if p := m.top(); p != nil {
 		p.childViols = append(p.childViols, viols...)
 		return
 	}
-	sr.rootDone = true
+	m.rootDone = true
 	for _, v := range viols {
-		report(&sr.res.Violations, v.Path, v.Msg)
+		report(&m.res.Violations, v.Path, v.Msg)
 	}
 }
 
-// rejectContent records a content-model failure at path. The DOM walk
-// reports the match error and validates none of the element's children,
-// so the children's buffered violations are dropped and their IDs and
-// IDREFs rolled back.
-func (sr *streamRun) rejectContent(f *frame, path, msg string) {
+// rejectContent records a content-model failure at path. A rejected
+// element's verdict is the match error alone, so the children's buffered
+// violations are dropped and their IDs and IDREFs rolled back.
+func (m *machine) rejectContent(f *frame, path, msg string) {
 	f.failed = true
 	f.contentViol = &Violation{Path: path, Msg: msg}
 	f.childViols = nil
-	sr.ids.rollback(f.ids)
+	m.ids.rollback(f.ids)
 }
 
-// closeFrame assembles the frame's violations in the order the DOM
-// validator emits them.
-func (sr *streamRun) closeFrame(f *frame) []Violation {
+// closeFrame assembles the frame's violations: attributes, then text,
+// then the content failure or the children's.
+func (m *machine) closeFrame(f *frame) []Violation {
 	switch f.mode {
 	case fmModel:
-		if !f.failed {
+		if !f.failed && !f.interp {
 			if merr := f.run.End(); merr != nil {
 				// Premature end: reported against the element itself.
-				sr.rejectContent(f, f.path, merr.Error())
+				m.rejectContent(f, f.path, merr.Error())
 			}
 		}
 		if !f.failed && len(f.attrViols) == 0 && len(f.textViols) == 0 {
@@ -547,13 +623,13 @@ func (sr *streamRun) closeFrame(f *frame) []Violation {
 	case fmSimple:
 		// The text's violations come first, then the attributes'.
 		var viols []Violation
-		val, ok := sr.simpleText(f.st, f.decl, f.sawElemChild, string(f.textBuf), f.path, &viols)
-		sr.announceValue(f, val, ok)
+		val, ok := m.simpleText(f.st, f.decl, f.sawElemChild, string(f.textBuf), f.path, &viols)
+		m.announceValue(f, val, ok)
 		return append(viols, f.attrViols...)
 	case fmCSimple:
 		viols := f.attrViols
-		val, ok := sr.contentText(f.st, f.sawElemChild, string(f.textBuf), f.path, &viols)
-		sr.announceValue(f, val, ok)
+		val, ok := m.contentText(f.st, f.sawElemChild, string(f.textBuf), f.path, &viols)
+		m.announceValue(f, val, ok)
 		return viols
 	default: // fmCEmpty, fmNilled, fmDead
 		viols := f.attrViols
@@ -566,7 +642,7 @@ func (sr *streamRun) closeFrame(f *frame) []Violation {
 
 // announceValue hands a simple element's parsed value to CloseElement.
 // Only a copy escapes, and only for announced frames.
-func (sr *streamRun) announceValue(f *frame, val xsdtypes.Value, ok bool) {
+func (m *machine) announceValue(f *frame, val xsdtypes.Value, ok bool) {
 	if ok && f.announced {
 		v := val
 		f.evVal = &v
@@ -574,8 +650,8 @@ func (sr *streamRun) announceValue(f *frame, val xsdtypes.Value, ok bool) {
 }
 
 // startFallback begins buffering the element's subtree into a private DOM
-// fragment for the recursive validator.
-func (sr *streamRun) startFallback(f *frame, tok *xmlparser.Token) {
+// fragment for replay.
+func (m *machine) startFallback(f *frame, tok *xmlparser.Token) {
 	f.mode = fmFallback
 	doc := dom.NewPooledDocument()
 	root := doc.CreateElementNS(tok.Name.Space, tok.Name.Qualified())
@@ -585,8 +661,8 @@ func (sr *streamRun) startFallback(f *frame, tok *xmlparser.Token) {
 	}
 	// Graft the in-scope namespace bindings onto the buffered root so
 	// xsi:type prefixes resolve as they would in the full tree. Innermost bindings win; locally declared ones are already set.
-	for i := len(sr.ns) - 1; i >= 0; i-- {
-		b := sr.ns[i]
+	for i := len(m.ns) - 1; i >= 0; i-- {
+		b := m.ns[i]
 		if root.HasAttributeNS(xmlparser.XMLNSNamespace, b.name) {
 			continue
 		}
@@ -605,7 +681,7 @@ func (sr *streamRun) startFallback(f *frame, tok *xmlparser.Token) {
 
 // feedFallback appends one token to the buffered subtree, mapping tokens
 // to nodes the way dom.Parse does.
-func (sr *streamRun) feedFallback(f *frame, tok *xmlparser.Token) {
+func (m *machine) feedFallback(f *frame, tok *xmlparser.Token) {
 	doc := f.fbDoc
 	switch tok.Kind {
 	case xmlparser.KindStartElement:
@@ -620,7 +696,7 @@ func (sr *streamRun) feedFallback(f *frame, tok *xmlparser.Token) {
 	case xmlparser.KindEndElement:
 		f.fbDepth--
 		if f.fbDepth == 0 {
-			sr.completeFallback(f)
+			m.completeFallback(f)
 			return
 		}
 		f.fbCur = f.fbCur.ParentNode()
@@ -638,20 +714,24 @@ func (sr *streamRun) feedFallback(f *frame, tok *xmlparser.Token) {
 	}
 }
 
-// completeFallback validates the buffered subtree with the recursive DOM
-// path, recording its IDs in the stream's table so rollback covers them.
-func (sr *streamRun) completeFallback(f *frame) {
-	sr.frames = sr.frames[:len(sr.frames)-1]
-	sr.ns = sr.ns[:f.nsMark]
-	sub := run{checker: sr.checker}
-	sub.element(f.fbRoot, f.decl, f.path)
-	sr.deliver(sub.res.Violations)
-	if sr.events != nil {
-		sr.events.FallbackElement(f.decl, f.fbRoot, f.wild)
+// completeFallback replays the buffered subtree through a sub-machine
+// that shares the stream's ID table, so rollback covers its IDs.
+func (m *machine) completeFallback(f *frame) {
+	m.frames = m.frames[:len(m.frames)-1]
+	m.ns = m.ns[:f.nsMark]
+	if m.sub == nil {
+		m.sub = &machine{v: m.v, ids: m.ids}
 	}
-	// The buffered subtree is private to this frame and the recursive run
-	// above only keeps strings, so its pooled nodes can be recycled now.
+	sub := m.sub
+	sub.res.Violations = sub.res.Violations[:0]
+	sub.enter(f.fbRoot, f.decl, nil, f.path)
+	m.deliver(sub.res.Violations)
+	if m.events != nil {
+		m.events.FallbackElement(f.decl, f.fbRoot, f.wild)
+	}
+	// The buffered subtree is private to this frame and the replay above
+	// only keeps strings, so its pooled nodes can be recycled now.
 	f.fbDoc.Release()
 	f.fbDoc, f.fbRoot, f.fbCur = nil, nil, nil
-	sr.recycle(f)
+	m.recycle(f)
 }

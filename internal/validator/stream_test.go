@@ -55,10 +55,10 @@ func TestStreamRejectsWithDOMMessages(t *testing.T) {
 	}
 }
 
-// TestStreamIdentityFallback proves identity-constrained subtrees degrade
-// to the DOM path with the same verdicts: the streaming validator buffers
-// the <order> subtree (its declaration carries key/keyref/unique) and runs
-// the recursive validator over it.
+// TestStreamIdentityFallback proves identity-constrained subtrees keep
+// their verdicts on the token stream: the streaming validator buffers the
+// <order> subtree (its declaration carries key/keyref/unique) and replays
+// it through the frame machine.
 func TestStreamIdentityFallback(t *testing.T) {
 	v := icValidator(t)
 	for label, src := range map[string]string{
@@ -77,8 +77,8 @@ func TestStreamIdentityFallback(t *testing.T) {
 
 // TestStreamRollsBackRejectedChildren covers the ID table's rollback: the
 // stream has already validated <sub id="b"> when <v> breaks its parent's
-// sequence, and the DOM walk never visits the children of a rejected
-// element, so "b" must be forgotten — a later IDREF to it dangles and a
+// sequence, and a rejected element's verdict is its match error alone,
+// so "b" must be forgotten — a later IDREF to it dangles and a
 // later declaration of it is no duplicate — and so must an IDREF inside
 // the rejected element.
 func TestStreamRollsBackRejectedChildren(t *testing.T) {

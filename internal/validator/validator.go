@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/contentmodel"
 	"repro/internal/dom"
 	"repro/internal/xmlparser"
 	"repro/internal/xsd"
@@ -64,7 +63,7 @@ type Options struct {
 	// single-document entry points.
 	Parallelism int
 	// ElementObserver, when non-nil, is invoked with the governing
-	// declaration of every element the walk visits. It exists for
+	// declaration of every element the walk opens. It exists for
 	// instrumentation — codegen's instance-corpus pruning pass uses it to
 	// record which declarations a sample document set reaches — and has no
 	// effect on verdicts.
@@ -75,7 +74,7 @@ type Options struct {
 //
 // A Validator is safe for concurrent use: any number of goroutines may
 // call ValidateDocument, ValidateElement and ValidateBatch on one shared
-// instance. All per-run state lives in a private run value; the compiled
+// instance. All per-run state lives in a private machine; the compiled
 // content models belong to the schema (xsd.ComplexType.Matcher), built
 // once per type and shared by every Validator and walk over it. The
 // documents being validated are only read, never written — but callers
@@ -104,46 +103,32 @@ func (v *Validator) CompiledModels() int { return v.schema.CompiledModels() }
 // ValidateDocument validates a whole document: the root element must match
 // a global element declaration.
 func (v *Validator) ValidateDocument(doc *dom.Document) *Result {
-	return v.newRun().document(doc)
+	return v.newMachine().document(doc)
 }
 
 // ValidateElement validates a subtree against a specific declaration.
 func (v *Validator) ValidateElement(el *dom.Element, decl *xsd.ElementDecl) *Result {
-	r := v.newRun()
-	r.element(el, decl, "/"+el.TagName())
-	r.ids.resolve(&r.res.Violations)
-	return &r.res
+	m := v.newMachine()
+	m.enter(el, decl, nil, "/"+el.TagName())
+	m.ids.resolve(&m.res.Violations)
+	return &m.res
 }
-
-// run carries one pass of the DOM walk.
-type run struct {
-	checker
-	res Result
-	// parWorkers, when > 1, makes every elementContent level with at
-	// least ParallelMinFanout children fan out to that many workers;
-	// cleared while a pool is running so splits never nest.
-	parWorkers int
-}
-
-func (v *Validator) newRun() *run { return &run{checker: newChecker(v, false)} }
-
-func (r *run) violate(path, msg string) { report(&r.res.Violations, path, msg) }
 
 // document validates doc's root against its global declaration, then
 // resolves the IDREFs.
-func (r *run) document(doc *dom.Document) *Result {
+func (m *machine) document(doc *dom.Document) *Result {
 	root := doc.DocumentElement()
 	if root == nil {
-		r.violate("/", "document has no root element")
-		return &r.res
+		report(&m.res.Violations, "/", "document has no root element")
+		return &m.res
 	}
-	if decl, fail := r.v.rootDecl(root.Name()); decl == nil {
-		r.violate("/"+root.TagName(), fail)
+	if decl, fail := m.v.rootDecl(root.Name()); decl == nil {
+		report(&m.res.Violations, "/"+root.TagName(), fail)
 	} else {
-		r.element(root, decl, "/"+root.TagName())
-		r.ids.resolve(&r.res.Violations)
+		m.enter(root, decl, nil, "/"+root.TagName())
+		m.ids.resolve(&m.res.Violations)
 	}
-	return &r.res
+	return &m.res
 }
 
 // rootDecl returns the global declaration for a root element, or the
@@ -156,140 +141,76 @@ func (v *Validator) rootDecl(n xmlparser.Name) (*xsd.ElementDecl, string) {
 	return nil, fmt.Sprintf("no global declaration for root element %s", name)
 }
 
-// element validates el against its governing declaration.
-func (r *run) element(el *dom.Element, decl *xsd.ElementDecl, path string) {
-	if obs := r.v.opts.ElementObserver; obs != nil {
-		obs(decl)
+// enter validates el against decl at path: the one way a DOM tree enters
+// the frame machine. It seeds the namespace stack with the bindings el
+// inherits from its ancestors, opens el's frame, replays the subtree and
+// closes the frame, whose violations reach m.res. A nil decl opens a
+// content-only frame for ct's model instead (Sink.ElementContent).
+func (m *machine) enter(el *dom.Element, decl *xsd.ElementDecl, ct *xsd.ComplexType, path string) {
+	m.ns = inherited(m.ns[:0], el)
+	tok := m.startToken(el)
+	nsMark := m.bind(tok)
+	if decl != nil {
+		m.pushFrame(tok, el, decl, path, nsMark, false)
+	} else {
+		f := m.newFrame(path, nil, nsMark)
+		f.el = el
+		f.ids = m.ids.mark()
+		m.openModel(f, ct.Matcher(m.v.schema), ct.Kind == xsd.ContentMixed)
 	}
-	if len(r.res.Violations) >= maxViolations {
-		return
-	}
-	typ, nilled, fail := r.v.governingType(decl,
-		el.GetAttributeNS(xsd.XSINamespace, "type"), el.GetAttributeNS(xsd.XSINamespace, "nil"),
-		func(prefix string) (string, bool) { return lookupNS(el, prefix) })
-	if fail != "" {
-		r.violate(path, fail)
-		return
-	}
-	if nilled {
-		if len(el.ChildNodes()) > 0 {
-			r.violate(path, msgNilled)
-		}
-		return
-	}
-	attrs := el.Attributes()
-	at := func(i int) (xmlparser.Name, string) { return attrs[i].Name(), attrs[i].Value() }
-	switch t := typ.(type) {
-	case *xsd.SimpleType:
-		r.simpleText(t, decl, hasElementChild(el), el.TextContent(), path, &r.res.Violations)
-		r.attributes(t, len(attrs), at, path, &r.res.Violations)
-	case *xsd.ComplexType:
-		r.attributes(t, len(attrs), at, path, &r.res.Violations)
-		r.content(el, t, path)
-	}
-	r.checkIdentityConstraints(el, decl, path)
+	m.replay(el)
+	m.endElement()
 }
 
-// lookupNS finds the namespace bound to prefix ("xmlns" for the default
-// namespace) on el or its nearest ancestor that declares it.
-func lookupNS(el *dom.Element, prefix string) (string, bool) {
-	for n := dom.Node(el); n != nil; n = n.ParentNode() {
-		if e, ok := n.(*dom.Element); ok && e.HasAttributeNS(xmlparser.XMLNSNamespace, prefix) {
-			return e.GetAttributeNS(xmlparser.XMLNSNamespace, prefix), true
+// inherited appends the namespace bindings el inherits from its
+// ancestors, outermost first, so lookupNS finds the innermost.
+func inherited(ns []nsBinding, el *dom.Element) []nsBinding {
+	p, ok := el.ParentNode().(*dom.Element)
+	if !ok {
+		return ns
+	}
+	ns = inherited(ns, p)
+	for _, a := range p.Attributes() {
+		if n := a.Name(); n.Space == xmlparser.XMLNSNamespace {
+			ns = append(ns, nsBinding{name: n.Local, uri: a.Value()})
 		}
 	}
-	return "", false
+	return ns
 }
 
-func hasElementChild(el *dom.Element) bool {
-	for _, c := range el.ChildNodes() {
-		if _, ok := c.(*dom.Element); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// content validates the content of an element governed by a complex type.
-func (r *run) content(el *dom.Element, ct *xsd.ComplexType, path string) {
-	switch ct.Kind {
-	case xsd.ContentSimple:
-		r.contentText(ct.SimpleContentType, hasElementChild(el), el.TextContent(), path, &r.res.Violations)
-	case xsd.ContentEmpty:
-		for _, c := range el.ChildNodes() {
-			switch x := c.(type) {
-			case *dom.Element:
-				r.violate(path, fmt.Sprintf("element <%s> is not allowed in empty content", x.TagName()))
-				return
-			case *dom.Text:
-				if strings.TrimSpace(x.Data) != "" {
-					r.violate(path, "character data is not allowed in empty content")
-					return
-				}
-			case *dom.CDATASection:
-				r.violate(path, "character data is not allowed in empty content")
-				return
-			}
-		}
-	case xsd.ContentElementOnly, xsd.ContentMixed:
-		r.elementContent(el, ct, path)
-	}
-}
-
-// elementContent validates children against the content model.
-func (r *run) elementContent(el *dom.Element, ct *xsd.ComplexType, path string) {
-	var symbols []contentmodel.Symbol
-	var children []*dom.Element
+// replay feeds the children of el, whose frame is open, to the machine as
+// events: the DOM counterpart of the token loop. A child the machine opens
+// no frame for is skipped without being walked.
+func (m *machine) replay(el *dom.Element) {
+	fanned := m.workers > 1 && m.fanOut(el)
 	for _, c := range el.ChildNodes() {
 		switch x := c.(type) {
 		case *dom.Element:
-			symbols = append(symbols, contentmodel.Symbol{Space: x.NamespaceURI(), Local: x.LocalName()})
-			children = append(children, x)
+			if !fanned && m.startElement(m.startToken(x), x) {
+				m.replay(x)
+				m.endElement()
+			}
 		case *dom.Text:
-			if ct.Kind != xsd.ContentMixed && strings.TrimSpace(x.Data) != "" {
-				r.violate(path, fmt.Sprintf("character data %q is not allowed in element-only content", snippet(x.Data)))
-			}
+			text(m, x.Data, false, nil)
 		case *dom.CDATASection:
-			if ct.Kind != xsd.ContentMixed {
-				r.violate(path, "character data is not allowed in element-only content")
-			}
+			text(m, x.Data, true, nil)
+		default: // comments and processing instructions
+			m.misc()
 		}
-	}
-	leaves, merr := ct.Matcher(r.v.schema).Match(symbols)
-	if merr != nil {
-		loc := path
-		if merr.Index < len(children) {
-			loc = childPath(path, children[merr.Index])
-		}
-		r.violate(loc, merr.Error())
-		return
-	}
-	if w := r.parWorkers; w > 1 && len(children) >= ParallelMinFanout {
-		// Split this level across the pool. The flag is cleared while the
-		// workers run (sub-runs never nest pools) and restored after the
-		// join, so every sufficiently wide level splits — the walk descends
-		// sequentially through narrow levels to find the fan-out.
-		r.parWorkers = 0
-		handled := r.parallelChildren(children, leaves, path, w)
-		r.parWorkers = w
-		if handled {
-			return
-		}
-	}
-	var counts childCounts
-	for i, child := range children {
-		r.child(child, leaves[i], counts.path(path, child.TagName()))
 	}
 }
 
-// child validates one child element the content model matched to leaf.
-func (r *run) child(el *dom.Element, leaf *contentmodel.Leaf, path string) {
-	decl, _, err := r.v.childDecl(leaf, xsd.QName{Space: el.NamespaceURI(), Local: el.LocalName()})
-	if err != nil {
-		r.violate(path, err.Error())
-	} else if decl != nil {
-		r.element(el, decl, path)
+// startToken fills the machine's reusable token with el's start tag.
+func (m *machine) startToken(el *dom.Element) *xmlparser.Token {
+	tok := &m.tok
+	tok.Kind = xmlparser.KindStartElement
+	tok.Name = el.Name()
+	tok.Attrs = tok.Attrs[:0]
+	for _, a := range el.Attributes() {
+		n := a.Name()
+		tok.Attrs = append(tok.Attrs, xmlparser.Attr{Name: n, Value: a.Value(), IsNamespaceDecl: n.Space == xmlparser.XMLNSNamespace})
 	}
+	return tok
 }
 
 // childPath appends a child step to a path.
