@@ -493,7 +493,10 @@ func bytesPerRun(runs int, f func()) uint64 {
 //   - the DOM replay allocates no more than 1.2x what the stream does on
 //     the same bytes, tokenizer included;
 //   - neither grows super-linearly: 10x the items costs at most 12x the
-//     bytes.
+//     bytes;
+//   - the stream's allocation count at 1,000 items stays under
+//     streamAllocsPO1000, about 10% above what it was measured at once
+//     valid values and element paths stopped allocating.
 func TestStreamAllocCeiling(t *testing.T) {
 	schema := poSchema(t)
 	v := validator.New(schema, nil)
@@ -542,4 +545,14 @@ func TestStreamAllocCeiling(t *testing.T) {
 	if large.replay > 12*small.replay {
 		t.Errorf("ValidateDocument B/op grows super-linearly: %d at 10,000 items vs %d at 1,000", large.replay, small.replay)
 	}
+	src := largePOSource(1000)
+	allocs := testing.AllocsPerRun(5, func() { sv.ValidateBytes(src) })
+	t.Logf("1000-item PO: stream %.0f allocs/op (ceiling %d)", allocs, streamAllocsPO1000)
+	if allocs > streamAllocsPO1000 {
+		t.Errorf("stream path makes %.0f allocs/op on the 1000-item PO, above the ceiling of %d", allocs, streamAllocsPO1000)
+	}
 }
+
+// streamAllocsPO1000 bounds StreamValidator.ValidateBytes's allocations
+// on the 1,000-item purchase order.
+const streamAllocsPO1000 = 2270

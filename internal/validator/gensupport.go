@@ -82,7 +82,7 @@ func ChildPath(path string, child *dom.Element) string { return childPath(path, 
 // predicate the interpreted walk uses for repeated siblings.
 func ChildPathIndexed(path string, child *dom.Element, counts map[string]int) string {
 	counts[child.TagName()]++
-	return indexedStep(path, child.TagName(), counts[child.TagName()])
+	return step{local: child.TagName(), n: counts[child.TagName()]}.under(path)
 }
 
 // Snippet truncates character data for error messages.

@@ -3,6 +3,7 @@ package validator
 import (
 	"fmt"
 	"strings"
+	"unicode"
 
 	"repro/internal/xsd"
 )
@@ -55,13 +56,6 @@ func (t *idTable) kind(st *xsd.SimpleType) string {
 	return ""
 }
 
-// track records a value of type st found at path if st is ID-family.
-func (t *idTable) track(st *xsd.SimpleType, lexical, path string, out *[]Violation) {
-	if kind := t.kind(st); kind != "" {
-		t.add(kind, lexical, path, out)
-	}
-}
-
 // add records one value of an ID-family type found at path. A repeated ID
 // is reported to out; references wait for resolve.
 func (t *idTable) add(kind, lexical, path string, out *[]Violation) {
@@ -70,7 +64,7 @@ func (t *idTable) add(kind, lexical, path string, out *[]Violation) {
 	}
 	switch kind {
 	case "ID":
-		norm := strings.Join(strings.Fields(lexical), " ")
+		norm := joinFields(lexical)
 		prev, dup := t.ids[norm]
 		t.journal = append(t.journal, idEvent{id: norm, dup: dup})
 		if dup {
@@ -82,12 +76,30 @@ func (t *idTable) add(kind, lexical, path string, out *[]Violation) {
 		}
 		t.ids[norm] = path
 	case "IDREF":
-		t.refs = append(t.refs, pendingRef{id: strings.Join(strings.Fields(lexical), " "), path: path})
+		t.refs = append(t.refs, pendingRef{id: joinFields(lexical), path: path})
 	case "IDREFS":
 		for _, ref := range strings.Fields(lexical) {
 			t.refs = append(t.refs, pendingRef{id: ref, path: path})
 		}
 	}
+}
+
+// joinFields returns strings.Join(strings.Fields(s), " "): an ID or IDREF
+// value as the table keys it, split where IDREFS values are split. A
+// value already in that form is returned as it is, without allocating.
+func joinFields(s string) string {
+	space := true // a space here would be leading or doubled
+	for _, r := range s {
+		isSpace := unicode.IsSpace(r)
+		if isSpace && (r != ' ' || space) {
+			return strings.Join(strings.Fields(s), " ")
+		}
+		space = isSpace
+	}
+	if space && s != "" {
+		return strings.Join(strings.Fields(s), " ")
+	}
+	return s
 }
 
 func (t *idTable) mark() idMark { return idMark{len(t.journal), len(t.refs)} }

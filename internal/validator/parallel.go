@@ -91,23 +91,25 @@ func (m *machine) fanOut(el *dom.Element) bool {
 	if len(children) < ParallelMinFanout {
 		return false
 	}
+	path := m.path(f)
 	leaves := f.leaves
 	if !f.interp {
 		leaves = make([]*contentmodel.Leaf, len(children))
 		for i, c := range children {
 			leaf, merr := f.run.Step(contentmodel.Symbol{Space: c.NamespaceURI(), Local: c.LocalName()})
 			if merr != nil {
-				m.rejectContent(f, childPath(f.path, c), merr.Error())
+				m.rejectContent(f, childPath(path, c), merr.Error())
 				return true
 			}
 			leaves[i] = leaf
 		}
 	}
-	// Child paths are order-dependent (positional predicates count per
+	// The sub-runs start at the children, so each needs its path as its
+	// base. Paths are order-dependent (positional predicates count per
 	// tag name); compute them up front, sequentially.
 	paths := make([]string, len(children))
 	for i, c := range children {
-		paths[i] = f.counts.path(f.path, c.TagName())
+		paths[i] = f.counts.next(c.Name()).under(path)
 	}
 	// A few chunks per worker so an expensive subtree doesn't leave the
 	// other workers idle at the end of the level.

@@ -110,13 +110,13 @@ func isMetaName(n xmlparser.Name) bool {
 	return n.Space == xmlparser.XMLNSNamespace || n.Space == xsd.XSINamespace || n.Space == xmlparser.XMLNamespace
 }
 
-// attributes checks an element's attributes against its governing type; n
-// and at enumerate them in document order. A simple type admits none. A
-// complex type requires each to be declared (or admitted by its wildcard),
-// to parse and to equal its fixed value, and every required attribute to
-// be present. ID-family values go to the ID table under the attribute's
-// path.
-func (m *machine) attributes(typ xsd.Type, n int, at func(int) (xmlparser.Name, string), path string, out *[]Violation) {
+// attributes checks the attributes of f's element against its governing
+// type; n and at enumerate them in document order. A simple type admits
+// none. A complex type requires each to be declared (or admitted by its
+// wildcard), to parse and to equal its fixed value, and every required
+// attribute to be present. ID-family values go to the ID table under the
+// attribute's path.
+func (m *machine) attributes(typ xsd.Type, n int, at func(int) (xmlparser.Name, string), f *frame, out *[]Violation) {
 	ct, _ := typ.(*xsd.ComplexType)
 	for i := 0; i < n; i++ {
 		name, value := at(i)
@@ -124,28 +124,26 @@ func (m *machine) attributes(typ xsd.Type, n int, at func(int) (xmlparser.Name, 
 			continue
 		}
 		if ct == nil {
-			report(out, path, fmt.Sprintf("attribute %q is not allowed on a simple-type element", name.Qualified()))
+			report(out, m.path(f), fmt.Sprintf("attribute %q is not allowed on a simple-type element", name.Qualified()))
 			continue
 		}
 		use := ct.FindAttributeUse(xsd.QName{Space: name.Space, Local: name.Local})
 		if use == nil || use.Prohibited {
 			if ct.AttrWildcard == nil || !ct.AttrWildcard.Admits(name.Space) {
-				report(out, path, fmt.Sprintf("attribute %q is not declared for this element", name.Qualified()))
+				report(out, m.path(f), fmt.Sprintf("attribute %q is not declared for this element", name.Qualified()))
 			}
 			continue
 		}
 		val, err := use.Decl.Type.Parse(value)
 		if err != nil {
-			report(out, path, fmt.Sprintf("attribute %q: %v", name.Qualified(), err))
+			report(out, m.path(f), fmt.Sprintf("attribute %q: %v", name.Qualified(), err))
 			continue
 		}
-		if use.Fixed != nil {
-			if want, ferr := use.Decl.Type.Parse(*use.Fixed); ferr == nil && !val.Equal(want) {
-				report(out, path, fmt.Sprintf("attribute %q must have the fixed value %q", name.Qualified(), *use.Fixed))
-			}
+		if want := use.FixedValue(); want != nil && !val.Equal(*want) {
+			report(out, m.path(f), fmt.Sprintf("attribute %q must have the fixed value %q", name.Qualified(), *use.Fixed))
 		}
 		if kind := m.ids.kind(use.Decl.Type); kind != "" {
-			m.ids.add(kind, value, path+"/@"+name.Qualified(), out)
+			m.ids.add(kind, value, m.path(f)+"/@"+name.Qualified(), out)
 		}
 	}
 	if ct == nil {
@@ -153,7 +151,7 @@ func (m *machine) attributes(typ xsd.Type, n int, at func(int) (xmlparser.Name, 
 	}
 	for _, use := range ct.AttributeUses {
 		if use.Required && !use.Prohibited && !hasAttr(n, at, use.Decl.Name) {
-			report(out, path, fmt.Sprintf("required attribute %q is missing", use.Decl.Name.Local))
+			report(out, m.path(f), fmt.Sprintf("required attribute %q is missing", use.Decl.Name.Local))
 		}
 	}
 }
@@ -168,13 +166,14 @@ func hasAttr(n int, at func(int) (xmlparser.Name, string), q xsd.QName) bool {
 	return false
 }
 
-// simpleText checks the content of a simple-typed element: no child
+// simpleText checks the content of f, a simple-typed element: no child
 // elements; the declaration's default or fixed value stands in for empty
 // text; the value must parse and equal the fixed value; ID-family values
-// go to the ID table. ok reports a parsed value.
-func (m *machine) simpleText(st *xsd.SimpleType, decl *xsd.ElementDecl, elemChild bool, text, path string, out *[]Violation) (val xsdtypes.Value, ok bool) {
-	if elemChild {
-		report(out, path, "element content is not allowed in a simple-type element")
+// go to the ID table. ok reports a parsed value. The fixed value is
+// parsed per occurrence, because xsi:type can change the governing type.
+func (m *machine) simpleText(st *xsd.SimpleType, decl *xsd.ElementDecl, f *frame, text string, out *[]Violation) (val xsdtypes.Value, ok bool) {
+	if f.sawElemChild {
+		report(out, m.path(f), "element content is not allowed in a simple-type element")
 		return val, false
 	}
 	if decl.Fixed != nil && text == "" {
@@ -185,32 +184,40 @@ func (m *machine) simpleText(st *xsd.SimpleType, decl *xsd.ElementDecl, elemChil
 	}
 	val, err := st.Parse(text)
 	if err != nil {
-		report(out, path, err.Error())
+		report(out, m.path(f), err.Error())
 		return val, false
 	}
 	if decl.Fixed != nil {
 		if want, ferr := st.Parse(*decl.Fixed); ferr == nil && !val.Equal(want) {
-			report(out, path, fmt.Sprintf("value %q does not equal the fixed value %q", text, *decl.Fixed))
+			report(out, m.path(f), fmt.Sprintf("value %q does not equal the fixed value %q", text, *decl.Fixed))
 		}
 	}
-	m.ids.track(st, text, path, out)
+	m.track(st, text, f, out)
 	return val, true
 }
 
-// contentText checks the content of a complex type with simple content.
-// Unlike simpleText it has no default or fixed value, and it records an
-// ID-family value even when the value fails to parse.
-func (m *machine) contentText(st *xsd.SimpleType, elemChild bool, text, path string, out *[]Violation) (val xsdtypes.Value, ok bool) {
-	if elemChild {
-		report(out, path, "element content is not allowed in simple content")
+// contentText checks the content of f, a complex type with simple
+// content. Unlike simpleText it has no default or fixed value, and it
+// records an ID-family value even when the value fails to parse.
+func (m *machine) contentText(st *xsd.SimpleType, f *frame, text string, out *[]Violation) (val xsdtypes.Value, ok bool) {
+	if f.sawElemChild {
+		report(out, m.path(f), "element content is not allowed in simple content")
 		return val, false
 	}
 	val, err := st.Parse(text)
 	if err != nil {
-		report(out, path, err.Error())
+		report(out, m.path(f), err.Error())
 	}
-	m.ids.track(st, text, path, out)
+	m.track(st, text, f, out)
 	return val, err == nil
+}
+
+// track records the text of f, a value of type st, in the ID table if st
+// is ID-family.
+func (m *machine) track(st *xsd.SimpleType, lexical string, f *frame, out *[]Violation) {
+	if kind := m.ids.kind(st); kind != "" {
+		m.ids.add(kind, lexical, m.path(f), out)
+	}
 }
 
 // childDecl returns the declaration governing a child the content model
@@ -230,48 +237,72 @@ func (v *Validator) childDecl(leaf *contentmodel.Leaf, name xsd.QName) (decl *xs
 	return nil, false, nil
 }
 
-// childCounts numbers an element's children per tag for indexed paths.
-// The first maxCountList distinct tags are counted in place, which costs
-// no allocation for the few distinct tags an element usually has; the
+// step is where a child element sits under its parent: its name and its
+// 1-based position among the parent's children of that name. A frame
+// keeps its step rather than its path; machine.path renders the path
+// only when something needs it.
+type step struct {
+	prefix, local string
+	n             int
+}
+
+// under returns the step's path below parent.
+func (s step) under(parent string) string {
+	var buf [pathBuf]byte
+	return string(s.appendTo(append(buf[:0], parent...)))
+}
+
+// pathBuf is the stack buffer a path is rendered in before it is copied
+// into its string; a longer path spills to the heap.
+const pathBuf = 256
+
+// appendTo appends the step to a path under construction: its tag with
+// the position from the second same-tag sibling on (item, item[2]).
+func (s step) appendTo(b []byte) []byte {
+	b = append(b, '/')
+	if s.prefix != "" {
+		b = append(b, s.prefix...)
+		b = append(b, ':')
+	}
+	b = append(b, s.local...)
+	if s.n > 1 {
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(s.n), 10)
+		b = append(b, ']')
+	}
+	return b
+}
+
+// childCounts numbers an element's children per name for indexed steps.
+// The first maxCountList distinct names are counted in place, which costs
+// no allocation for the few distinct names an element usually has; the
 // rest spill into a map so an element with many distinct child names
 // stays linear.
 type childCounts struct {
-	list  [maxCountList]childCount
+	list  [maxCountList]step
 	n     int
-	spill map[string]int
-}
-
-type childCount struct {
-	tag string
-	n   int
+	spill map[[2]string]int
 }
 
 const maxCountList = 8
 
-// path returns the next child's path under parent: its tag with a 1-based
-// position among same-tag siblings from the second on (item, item[2]).
-func (cc *childCounts) path(parent, tag string) string {
+// next returns the step of the next child, named prefix:local.
+func (cc *childCounts) next(name xmlparser.Name) step {
 	for i := range cc.list[:cc.n] {
-		if c := &cc.list[i]; c.tag == tag {
+		if c := &cc.list[i]; c.local == name.Local && c.prefix == name.Prefix {
 			c.n++
-			return indexedStep(parent, tag, c.n)
+			return *c
 		}
 	}
 	if cc.n < maxCountList {
-		cc.list[cc.n] = childCount{tag: tag, n: 1}
+		cc.list[cc.n] = step{prefix: name.Prefix, local: name.Local, n: 1}
 		cc.n++
-		return parent + "/" + tag
+		return cc.list[cc.n-1]
 	}
 	if cc.spill == nil {
-		cc.spill = map[string]int{}
+		cc.spill = map[[2]string]int{}
 	}
-	cc.spill[tag]++
-	return indexedStep(parent, tag, cc.spill[tag])
-}
-
-func indexedStep(parent, tag string, n int) string {
-	if n > 1 {
-		return parent + "/" + tag + "[" + strconv.Itoa(n) + "]"
-	}
-	return parent + "/" + tag
+	key := [2]string{name.Prefix, name.Local}
+	cc.spill[key]++
+	return step{prefix: name.Prefix, local: name.Local, n: cc.spill[key]}
 }

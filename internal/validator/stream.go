@@ -152,7 +152,7 @@ const (
 
 // frame is one open element on the machine's stack.
 type frame struct {
-	path string
+	at   step             // under the parent frame; unused on the entry frame
 	decl *xsd.ElementDecl // nil for a content-only frame (Sink.ElementContent)
 	mode int
 	el   *dom.Element // the element on the DOM replay; nil on the token stream
@@ -175,7 +175,7 @@ type frame struct {
 	sawElemChild bool
 	textBuf      []byte // accumulated character data (fmSimple/fmCSimple)
 
-	counts childCounts // child paths
+	counts childCounts // child steps
 	ids    idMark      // ID table after own attributes
 	nsMark int         // namespace-binding stack mark
 
@@ -199,11 +199,11 @@ type frame struct {
 
 // reset re-initializes a recycled frame, keeping the capacity of its
 // buffers (and the automaton run's internal state) for reuse.
-func (f *frame) reset(path string, decl *xsd.ElementDecl, nsMark int) {
+func (f *frame) reset(at step, decl *xsd.ElementDecl, nsMark int) {
 	run := f.run
 	attrViols, textViols, childViols := f.attrViols[:0], f.textViols[:0], f.childViols[:0]
 	textBuf := f.textBuf[:0]
-	*f = frame{path: path, decl: decl, nsMark: nsMark,
+	*f = frame{at: at, decl: decl, nsMark: nsMark,
 		run: run, attrViols: attrViols, textViols: textViols,
 		childViols: childViols, textBuf: textBuf}
 }
@@ -221,7 +221,11 @@ type machine struct {
 	ids *idTable
 	res Result
 
+	// frames is the open-element stack. Its first frame is the entry
+	// frame, the element the run started at, whose path is base; path
+	// renders any other frame's path from the steps below it.
 	frames    []*frame
+	base      string
 	free      []*frame // recycled frames; popped elements return here
 	skipDepth int      // >0: inside an unvalidated subtree (token stream)
 	rootDone  bool
@@ -259,18 +263,42 @@ func (m *machine) top() *frame {
 	return m.frames[len(m.frames)-1]
 }
 
-// newFrame pushes a recycled or fresh frame.
-func (m *machine) newFrame(path string, decl *xsd.ElementDecl, nsMark int) *frame {
+// newFrame pushes a recycled or fresh frame for a child at step at, or
+// for the entry element when the stack is empty.
+func (m *machine) newFrame(at step, decl *xsd.ElementDecl, nsMark int) *frame {
 	var f *frame
 	if n := len(m.free); n > 0 {
 		f = m.free[n-1]
 		m.free = m.free[:n-1]
-		f.reset(path, decl, nsMark)
+		f.reset(at, decl, nsMark)
 	} else {
-		f = &frame{path: path, decl: decl, nsMark: nsMark}
+		f = &frame{at: at, decl: decl, nsMark: nsMark}
 	}
 	m.frames = append(m.frames, f)
 	return f
+}
+
+// path renders the path of f, an open frame: the entry frame's base path
+// and one step per frame below it down to f. Paths are built only for
+// what needs one: a violation, an ID or IDREF, an identity-constrained
+// element, a subtree handed to another machine.
+func (m *machine) path(f *frame) string {
+	i := len(m.frames) - 1
+	for i >= 0 && m.frames[i] != f {
+		i--
+	}
+	switch {
+	case i < 0:
+		panic("validator: path of a frame that is not open")
+	case i == 0:
+		return m.base
+	}
+	var buf [pathBuf]byte
+	b := append(buf[:0], m.base...)
+	for _, g := range m.frames[1 : i+1] {
+		b = g.at.appendTo(b)
+	}
+	return string(b)
 }
 
 // recycle returns a popped frame to the free list. Its buffered violations
@@ -349,7 +377,8 @@ func (m *machine) startElement(tok *xmlparser.Token, el *dom.Element) bool {
 			report(&m.res.Violations, "/"+tok.Name.Qualified(), fail)
 			m.rootDone = true
 		} else {
-			m.pushFrame(tok, nil, decl, "/"+tok.Name.Qualified(), nsMark, false)
+			m.base = "/" + tok.Name.Qualified()
+			m.pushFrame(tok, nil, decl, step{}, nsMark, false)
 			return true
 		}
 	case parent == nil: // an element after the document element
@@ -363,16 +392,16 @@ func (m *machine) startElement(tok *xmlparser.Token, el *dom.Element) bool {
 		} else {
 			var merr *contentmodel.MatchError
 			if leaf, merr = parent.run.Step(contentmodel.Symbol{Space: tok.Name.Space, Local: tok.Name.Local}); merr != nil {
-				m.rejectContent(parent, parent.path+"/"+tok.Name.Qualified(), merr.Error())
+				m.rejectContent(parent, m.path(parent)+"/"+tok.Name.Qualified(), merr.Error())
 				break
 			}
 		}
-		cpath := parent.counts.path(parent.path, tok.Name.Qualified())
+		at := parent.counts.next(tok.Name)
 		decl, wild, err := m.v.childDecl(leaf, xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local})
 		if err != nil {
-			report(&parent.childViols, cpath, err.Error())
+			report(&parent.childViols, at.under(m.path(parent)), err.Error())
 		} else if decl != nil {
-			m.pushFrame(tok, el, decl, cpath, nsMark, wild)
+			m.pushFrame(tok, el, decl, at, nsMark, wild)
 			return true
 		} else if wild && m.events != nil {
 			// Deliver the unvalidated subtree raw, starting with this
@@ -383,19 +412,19 @@ func (m *machine) startElement(tok *xmlparser.Token, el *dom.Element) bool {
 	case parent.mode == fmSimple || parent.mode == fmCSimple:
 		parent.sawElemChild = true
 	case parent.mode == fmCEmpty:
-		parent.setFailed(fmt.Sprintf("element <%s> is not allowed in empty content", tok.Name.Qualified()))
+		m.setFailed(parent, fmt.Sprintf("element <%s> is not allowed in empty content", tok.Name.Qualified()))
 	case parent.mode == fmNilled:
-		parent.setFailed(msgNilled)
+		m.setFailed(parent, msgNilled)
 	}
 	m.ns = m.ns[:nsMark]
 	return false
 }
 
-// setFailed records the frame's first content violation.
-func (f *frame) setFailed(msg string) {
+// setFailed records the first content violation of f, an open frame.
+func (m *machine) setFailed(f *frame, msg string) {
 	if !f.failed {
 		f.failed = true
-		f.contentViol = &Violation{Path: f.path, Msg: msg}
+		f.contentViol = &Violation{Path: m.path(f), Msg: msg}
 	}
 }
 
@@ -410,22 +439,23 @@ func (m *machine) lookupNS(prefix string) (string, bool) {
 	return "", false
 }
 
-// pushFrame opens the element's frame: it applies the governing-type
-// rule, checks the attributes and sets the frame up for its content.
-// el is the element on the DOM replay and nil on the token stream; wild
-// marks an element admitted by a content-model wildcard.
-func (m *machine) pushFrame(tok *xmlparser.Token, el *dom.Element, decl *xsd.ElementDecl, path string, nsMark int, wild bool) {
+// pushFrame opens the element's frame at step at (the entry frame's at is
+// unused): it applies the governing-type rule, checks the attributes and
+// sets the frame up for its content. el is the element on the DOM replay
+// and nil on the token stream; wild marks an element admitted by a
+// content-model wildcard.
+func (m *machine) pushFrame(tok *xmlparser.Token, el *dom.Element, decl *xsd.ElementDecl, at step, nsMark int, wild bool) {
 	if obs := m.v.opts.ElementObserver; obs != nil {
 		obs(decl)
 	}
-	f := m.newFrame(path, decl, nsMark)
+	f := m.newFrame(at, decl, nsMark)
 	f.el, f.wild = el, wild
 	xsiType, _ := tok.Attr(xsd.XSINamespace, "type")
 	xsiNil, _ := tok.Attr(xsd.XSINamespace, "nil")
 	typ, nilled, fail := m.v.governingType(decl, xsiType, xsiNil, m.lookupNS)
 	if fail != "" {
 		f.mode = fmDead
-		f.setFailed(fail)
+		m.setFailed(f, fail)
 		return
 	}
 	if nilled {
@@ -446,7 +476,7 @@ func (m *machine) pushFrame(tok *xmlparser.Token, el *dom.Element, decl *xsd.Ele
 	}
 	m.attributes(typ, len(tok.Attrs), func(i int) (xmlparser.Name, string) {
 		return tok.Attrs[i].Name, tok.Attrs[i].Value
-	}, f.path, &f.attrViols)
+	}, f, &f.attrViols)
 	f.ids = m.ids.mark()
 	switch {
 	case ct == nil:
@@ -486,9 +516,9 @@ func (m *machine) openModel(f *frame, mt contentmodel.Matcher, mixed bool) {
 	f.interp = true
 	var merr *contentmodel.MatchError
 	if f.leaves, merr = mt.Match(symbols); merr != nil {
-		loc := f.path
+		loc := m.path(f)
 		if merr.Index < len(children) {
-			loc = childPath(f.path, children[merr.Index])
+			loc = childPath(loc, children[merr.Index])
 		}
 		m.rejectContent(f, loc, merr.Error())
 	}
@@ -521,18 +551,18 @@ func text[T string | []byte](m *machine, data T, cdata bool, tok *xmlparser.Toke
 			return
 		}
 		if cdata {
-			report(&f.textViols, f.path, "character data is not allowed in element-only content")
+			report(&f.textViols, m.path(f), "character data is not allowed in element-only content")
 		} else if !blank(data) {
-			report(&f.textViols, f.path, fmt.Sprintf("character data %q is not allowed in element-only content", snippet(string(data))))
+			report(&f.textViols, m.path(f), fmt.Sprintf("character data %q is not allowed in element-only content", snippet(string(data))))
 		}
 	case fmSimple, fmCSimple:
 		f.textBuf = append(f.textBuf, data...)
 	case fmCEmpty:
 		if cdata || !blank(data) {
-			f.setFailed("character data is not allowed in empty content")
+			m.setFailed(f, "character data is not allowed in empty content")
 		}
 	case fmNilled:
-		f.setFailed(msgNilled)
+		m.setFailed(f, msgNilled)
 	}
 }
 
@@ -548,7 +578,7 @@ func blank[T string | []byte](s T) bool {
 // so they violate only the "nilled element must be empty" rule.
 func (m *machine) misc() {
 	if f := m.top(); f != nil && f.mode == fmNilled {
-		f.setFailed(msgNilled)
+		m.setFailed(f, msgNilled)
 	}
 }
 
@@ -558,14 +588,14 @@ func (m *machine) endElement() {
 		return
 	}
 	f := m.frames[n-1]
-	m.frames = m.frames[:n-1]
-	m.ns = m.ns[:f.nsMark]
 	viols := m.closeFrame(f)
 	if f.mode < fmNilled && f.decl != nil && len(f.decl.Constraints) > 0 {
 		// Only the DOM replay closes a constrained frame: the token
 		// stream buffers it (fmFallback) and replays the buffer.
-		checkIdentityConstraints(f.el, f.decl, f.path, &viols)
+		checkIdentityConstraints(f.el, f.decl, m.path(f), &viols)
 	}
+	m.frames = m.frames[:n-1]
+	m.ns = m.ns[:f.nsMark]
 	m.deliver(viols)
 	if f.announced {
 		m.events.CloseElement(f.evVal)
@@ -596,15 +626,15 @@ func (m *machine) rejectContent(f *frame, path, msg string) {
 	m.ids.rollback(f.ids)
 }
 
-// closeFrame assembles the frame's violations: attributes, then text,
-// then the content failure or the children's.
+// closeFrame assembles the violations of f, the top frame: attributes,
+// then text, then the content failure or the children's.
 func (m *machine) closeFrame(f *frame) []Violation {
 	switch f.mode {
 	case fmModel:
 		if !f.failed && !f.interp {
 			if merr := f.run.End(); merr != nil {
 				// Premature end: reported against the element itself.
-				m.rejectContent(f, f.path, merr.Error())
+				m.rejectContent(f, m.path(f), merr.Error())
 			}
 		}
 		if !f.failed && len(f.attrViols) == 0 && len(f.textViols) == 0 {
@@ -623,12 +653,12 @@ func (m *machine) closeFrame(f *frame) []Violation {
 	case fmSimple:
 		// The text's violations come first, then the attributes'.
 		var viols []Violation
-		val, ok := m.simpleText(f.st, f.decl, f.sawElemChild, string(f.textBuf), f.path, &viols)
+		val, ok := m.simpleText(f.st, f.decl, f, string(f.textBuf), &viols)
 		m.announceValue(f, val, ok)
 		return append(viols, f.attrViols...)
 	case fmCSimple:
 		viols := f.attrViols
-		val, ok := m.contentText(f.st, f.sawElemChild, string(f.textBuf), f.path, &viols)
+		val, ok := m.contentText(f.st, f, string(f.textBuf), &viols)
 		m.announceValue(f, val, ok)
 		return viols
 	default: // fmCEmpty, fmNilled, fmDead
@@ -717,6 +747,7 @@ func (m *machine) feedFallback(f *frame, tok *xmlparser.Token) {
 // completeFallback replays the buffered subtree through a sub-machine
 // that shares the stream's ID table, so rollback covers its IDs.
 func (m *machine) completeFallback(f *frame) {
+	path := m.path(f)
 	m.frames = m.frames[:len(m.frames)-1]
 	m.ns = m.ns[:f.nsMark]
 	if m.sub == nil {
@@ -724,7 +755,7 @@ func (m *machine) completeFallback(f *frame) {
 	}
 	sub := m.sub
 	sub.res.Violations = sub.res.Violations[:0]
-	sub.enter(f.fbRoot, f.decl, nil, f.path)
+	sub.enter(f.fbRoot, f.decl, nil, path)
 	m.deliver(sub.res.Violations)
 	if m.events != nil {
 		m.events.FallbackElement(f.decl, f.fbRoot, f.wild)

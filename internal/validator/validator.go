@@ -143,17 +143,19 @@ func (v *Validator) rootDecl(n xmlparser.Name) (*xsd.ElementDecl, string) {
 
 // enter validates el against decl at path: the one way a DOM tree enters
 // the frame machine. It seeds the namespace stack with the bindings el
-// inherits from its ancestors, opens el's frame, replays the subtree and
-// closes the frame, whose violations reach m.res. A nil decl opens a
-// content-only frame for ct's model instead (Sink.ElementContent).
+// inherits from its ancestors, opens el's frame as the entry frame with
+// path as its base, replays the subtree and closes the frame, whose
+// violations reach m.res. A nil decl opens a content-only frame for ct's
+// model instead (Sink.ElementContent).
 func (m *machine) enter(el *dom.Element, decl *xsd.ElementDecl, ct *xsd.ComplexType, path string) {
 	m.ns = inherited(m.ns[:0], el)
+	m.base = path
 	tok := m.startToken(el)
 	nsMark := m.bind(tok)
 	if decl != nil {
-		m.pushFrame(tok, el, decl, path, nsMark, false)
+		m.pushFrame(tok, el, decl, step{}, nsMark, false)
 	} else {
-		f := m.newFrame(path, nil, nsMark)
+		f := m.newFrame(step{}, nil, nsMark)
 		f.el = el
 		f.ids = m.ids.mark()
 		m.openModel(f, ct.Matcher(m.v.schema), ct.Kind == xsd.ContentMixed)

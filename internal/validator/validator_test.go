@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dom"
 	"repro/internal/schemas"
+	"repro/internal/xmlparser"
 	"repro/internal/xsd"
 )
 
@@ -339,23 +340,48 @@ func TestFixedAndDefaultElementValues(t *testing.T) {
 	wantViolation(t, validate(t, v, `<version>2.0</version>`), "fixed")
 }
 
-// TestChildCountsPaths checks the walks' indexed child paths, including
-// tags counted after the short list has spilled into its map.
+// TestChildCountsPaths checks the walks' indexed child steps, including
+// tags counted after the short list has spilled into its map and
+// prefixed tags.
 func TestChildCountsPaths(t *testing.T) {
 	var cc childCounts
 	seen := map[string]int{}
 	for i := 0; i < 4*maxCountList; i++ {
-		tag := fmt.Sprintf("t%d", i%(2*maxCountList))
+		name := xmlparser.Name{Local: fmt.Sprintf("t%d", i%(2*maxCountList))}
+		if i%3 == 0 {
+			name.Prefix = "x"
+		}
+		tag := name.Qualified()
 		seen[tag]++
 		want := "/p/" + tag
 		if n := seen[tag]; n > 1 {
 			want = fmt.Sprintf("/p/%s[%d]", tag, n)
 		}
-		if got := cc.path("/p", tag); got != want {
+		at := cc.next(name)
+		if got := at.under("/p"); got != want {
 			t.Fatalf("child %d: path %q, want %q", i, got, want)
 		}
 	}
-	if cc.n != maxCountList || len(cc.spill) != maxCountList {
-		t.Errorf("list holds %d tags and spill %d, want %d each", cc.n, len(cc.spill), maxCountList)
+	if cc.n != maxCountList || len(cc.spill) != len(seen)-maxCountList {
+		t.Errorf("list holds %d tags and spill %d, want %d and %d", cc.n, len(cc.spill), maxCountList, len(seen)-maxCountList)
+	}
+}
+
+// TestJoinFields checks that the ID table keys IDs and IDREFs exactly as
+// strings.Fields splits them, Unicode spaces such as NBSP and NEL
+// included, and copies only a value it must rewrite.
+func TestJoinFields(t *testing.T) {
+	for _, s := range []string{
+		"", " ", "x", "x y", " x", "x ", "x  y", "x\ty", "x\u00a0", "\u0085x", "x\u2003y",
+		"a b c", "é", "\xff", " \xff ", "x\n",
+	} {
+		if got, want := joinFields(s), strings.Join(strings.Fields(s), " "); got != want {
+			t.Errorf("joinFields(%q) = %q, want %q", s, got, want)
+		}
+	}
+	for _, s := range []string{"po-1", "a b c", "é"} {
+		if n := testing.AllocsPerRun(100, func() { joinFields(s) }); n != 0 {
+			t.Errorf("joinFields(%q): %.1f allocs, want 0", s, n)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package xsd
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -144,19 +143,25 @@ func (s *SimpleType) Parse(lexical string) (xsdtypes.Value, error) {
 	if err != nil {
 		return xsdtypes.Value{}, err
 	}
-	// Apply user facet steps from the base outward.
-	var steps []*SimpleType
-	for t := s; t != nil && t.Builtin == nil; t = t.Base {
-		steps = append(steps, t)
-	}
-	for i := len(steps) - 1; i >= 0; i-- {
-		if !steps[i].Facets.IsEmpty() {
-			if err := steps[i].Facets.Check(v, norm); err != nil {
-				return xsdtypes.Value{}, fmt.Errorf("%s: %w", s.displayName(), err)
-			}
-		}
+	if err := s.checkSteps(v, norm); err != nil {
+		return xsdtypes.Value{}, fmt.Errorf("%s: %w", s.displayName(), err)
 	}
 	return v, nil
+}
+
+// checkSteps checks the facets of every user derivation step of the
+// chain ending at s, from the base outward.
+func (s *SimpleType) checkSteps(v xsdtypes.Value, norm string) error {
+	if s == nil || s.Builtin != nil {
+		return nil
+	}
+	if err := s.Base.checkSteps(v, norm); err != nil {
+		return err
+	}
+	if s.Facets.IsEmpty() {
+		return nil
+	}
+	return s.Facets.Check(v, norm)
 }
 
 // parseNormalized parses a whitespace-normalized lexical value in the
@@ -164,15 +169,15 @@ func (s *SimpleType) Parse(lexical string) (xsdtypes.Value, error) {
 func (s *SimpleType) parseNormalized(norm string) (xsdtypes.Value, error) {
 	switch s.Variety {
 	case VarietyList:
-		var items []xsdtypes.Value
-		if norm != "" {
-			for _, part := range strings.Fields(norm) {
-				iv, err := s.ItemType.Parse(part)
-				if err != nil {
-					return xsdtypes.Value{}, fmt.Errorf("list item %q: %w", part, err)
-				}
-				items = append(items, iv)
+		items, err := xsdtypes.ParseList(norm, func(part string) (xsdtypes.Value, error) {
+			iv, err := s.ItemType.Parse(part)
+			if err != nil {
+				return iv, fmt.Errorf("list item %q: %w", part, err)
 			}
+			return iv, nil
+		})
+		if err != nil {
+			return xsdtypes.Value{}, err
 		}
 		return xsdtypes.Value{Kind: xsdtypes.VList, Items: items}, nil
 	case VarietyUnion:
@@ -376,6 +381,26 @@ type AttributeUse struct {
 	Prohibited bool
 	Default    *string
 	Fixed      *string
+
+	// fixed is Fixed parsed against the attribute's type when the use is
+	// built; nil when there is no fixed value or it does not parse.
+	fixed *xsdtypes.Value
+}
+
+// FixedValue returns the use's fixed value parsed against the
+// attribute's type, or nil when there is none or it does not parse. An
+// attribute's type is static, so the value is parsed once, when the
+// schema is built.
+func (u *AttributeUse) FixedValue() *xsdtypes.Value { return u.fixed }
+
+// parseFixed fills in FixedValue once Decl is set.
+func (u *AttributeUse) parseFixed() {
+	if u.Fixed == nil {
+		return
+	}
+	if v, err := u.Decl.Type.Parse(*u.Fixed); err == nil {
+		u.fixed = &v
+	}
 }
 
 // ModelGroupDef is a named model group (xs:group definition).

@@ -295,6 +295,7 @@ func (p *parser) parseAttributeNodes(nodes []*dom.Element) ([]*AttributeUse, *co
 			if err != nil {
 				return nil, nil, err
 			}
+			u.parseFixed()
 			uses = append(uses, u)
 		case "attributeGroup":
 			ref := c.GetAttribute("ref")

@@ -131,43 +131,62 @@ func (b *nfaBuilder) compileRepeat(x Repeat) frag {
 	return cur
 }
 
-// addClosure adds s and everything epsilon-reachable from it to the set.
-func (m *nfa) addClosure(s int, set []bool, list *[]int) {
+// stackStates is the largest automaton whose state sets match keeps in
+// fixed-size arrays on its stack. Larger ones (long bounded repeats) get
+// heap scratch per call.
+const stackStates = 128
+
+// addClosure adds s and everything epsilon-reachable from it to the set,
+// listing each added state at list[n:]; it returns the new length. The
+// list has room for every state, and each is added at most once. It
+// writes through an index rather than appending through a pointer, which
+// would move match's stack arrays to the heap.
+func (m *nfa) addClosure(s int, set []bool, list []int, n int) int {
 	if set[s] {
-		return
+		return n
 	}
 	set[s] = true
-	*list = append(*list, s)
+	list[n] = s
+	n++
 	for _, e := range m.states[s].eps {
-		m.addClosure(e, set, list)
+		n = m.addClosure(e, set, list, n)
 	}
+	return n
 }
 
 // match runs the NFA over input and reports whether the whole string is
-// accepted. Two scratch bitsets make the simulation allocation-light.
+// accepted. It simulates with two state sets, each a bitset plus a list
+// of its members; for automata up to stackStates they live on the stack,
+// so a match allocates nothing.
 func (m *nfa) match(input string) bool {
-	cur := make([]bool, len(m.states))
-	next := make([]bool, len(m.states))
-	var curList, nextList []int
-	m.addClosure(m.start, cur, &curList)
+	var curA, nextA [stackStates]bool
+	var curLA, nextLA [stackStates]int
+	k := len(m.states)
+	cur, next, curList, nextList := curA[:0], nextA[:0], curLA[:0], nextLA[:0]
+	if k <= stackStates {
+		cur, next, curList, nextList = cur[:k], next[:k], curList[:k], nextList[:k]
+	} else {
+		cur, next = make([]bool, k), make([]bool, k)
+		curList, nextList = make([]int, k), make([]int, k)
+	}
+	nc := m.addClosure(m.start, cur, curList, 0)
 	for _, r := range input {
-		if len(curList) == 0 {
+		if nc == 0 {
 			return false
 		}
-		for i := range next {
-			next[i] = false
-		}
-		nextList = nextList[:0]
-		for _, s := range curList {
+		clear(next)
+		nn := 0
+		for _, s := range curList[:nc] {
 			st := &m.states[s]
 			if st.set != nil && st.set.Contains(r) {
-				m.addClosure(st.out, next, &nextList)
+				nn = m.addClosure(st.out, next, nextList, nn)
 			}
 		}
 		cur, next = next, cur
 		curList, nextList = nextList, curList
+		nc = nn
 	}
-	for _, s := range curList {
+	for _, s := range curList[:nc] {
 		if m.states[s].accept {
 			return true
 		}

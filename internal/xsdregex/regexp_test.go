@@ -189,11 +189,20 @@ func TestCharSetNormalization(t *testing.T) {
 }
 
 // TestNFADFAAgree is a property test: on random ASCII inputs, the NFA
-// simulation and the followpos DFA must agree for every pattern.
+// simulation and the followpos DFA must agree for every pattern. The
+// last pattern's automaton is larger than stackStates, so the NFA runs
+// on heap scratch.
 func TestNFADFAAgree(t *testing.T) {
 	patterns := []string{
 		`\d{3}-[A-Z]{2}`, `(a|b)*abb`, `[a-c]{2,5}x?`, `a+b*c{1,3}`,
-		`(ab|ba)+`, `\w+-\w+`,
+		`(ab|ba)+`, `\w+-\w+`, `[a-c]{2,80}(x|-)?`,
+	}
+	big := MustCompile(patterns[len(patterns)-1])
+	if n := len(big.nfa.states); n <= stackStates {
+		t.Fatalf("last pattern has %d NFA states, want more than stackStates (%d)", n, stackStates)
+	}
+	if !big.MatchNFA(stringRepeat("abc", 26)+"x") || big.MatchNFA(stringRepeat("a", 81)) {
+		t.Errorf("%s: wrong verdict at the repeat bounds on heap scratch", big)
 	}
 	for _, p := range patterns {
 		re := MustCompile(p)
@@ -212,6 +221,17 @@ func TestNFADFAAgree(t *testing.T) {
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 			t.Errorf("NFA/DFA disagree for %q: %v", p, err)
+		}
+	}
+}
+
+// TestNFAMatchAllocatesNothing checks that matching an automaton that
+// fits in stackStates keeps its state sets on the stack.
+func TestNFAMatchAllocatesNothing(t *testing.T) {
+	re := MustCompile(`\d{3}-[A-Z]{2}`)
+	for _, s := range []string{"926-AA", "926-A", "x"} {
+		if n := testing.AllocsPerRun(100, func() { re.MatchNFA(s) }); n != 0 {
+			t.Errorf("MatchNFA(%q): %.1f allocs, want 0", s, n)
 		}
 	}
 }

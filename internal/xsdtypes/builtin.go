@@ -108,26 +108,31 @@ func (b *Builtin) Parse(lexical string) (Value, error) {
 	if err != nil {
 		return Value{}, fmt.Errorf("%s: %w", b.Name, err)
 	}
-	// Facet chain: root-most first so error messages blame the broadest
-	// violated constraint; order does not affect acceptance.
-	var chain []*Builtin
-	for t := b; t != nil; t = t.Base {
-		chain = append(chain, t)
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		t := chain[i]
-		if t.Check != nil {
-			if err := t.Check(norm); err != nil {
-				return Value{}, fmt.Errorf("%s: %w", b.Name, err)
-			}
-		}
-		if !t.Facets.IsEmpty() {
-			if err := t.Facets.Check(v, norm); err != nil {
-				return Value{}, fmt.Errorf("%s: %w", b.Name, err)
-			}
-		}
+	if err := b.checkChain(v, norm); err != nil {
+		return Value{}, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	return v, nil
+}
+
+// checkChain checks every facet step of b's derivation chain, root-most
+// first so error messages blame the broadest violated constraint; order
+// does not affect acceptance.
+func (b *Builtin) checkChain(v Value, norm string) error {
+	if b == nil {
+		return nil
+	}
+	if err := b.Base.checkChain(v, norm); err != nil {
+		return err
+	}
+	if b.Check != nil {
+		if err := b.Check(norm); err != nil {
+			return err
+		}
+	}
+	if b.Facets.IsEmpty() {
+		return nil
+	}
+	return b.Facets.Check(v, norm)
 }
 
 // Validate checks a lexical value, discarding the parsed form.
@@ -140,16 +145,9 @@ func (b *Builtin) Validate(lexical string) error {
 // primitive value space.
 func (b *Builtin) parsePrimitive(s string) (Value, error) {
 	if b.List {
-		item := b.ItemType
-		var items []Value
-		if s != "" {
-			for _, part := range strings.Fields(s) {
-				iv, err := item.Parse(part)
-				if err != nil {
-					return Value{}, err
-				}
-				items = append(items, iv)
-			}
+		items, err := ParseList(s, b.ItemType.Parse)
+		if err != nil {
+			return Value{}, err
 		}
 		return Value{Kind: VList, Items: items}, nil
 	}

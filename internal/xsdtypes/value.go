@@ -7,6 +7,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/xmlparser"
 )
@@ -160,12 +162,16 @@ const (
 	WSCollapse
 )
 
-// ApplyWhiteSpace normalizes s according to the whiteSpace facet.
+// ApplyWhiteSpace normalizes s according to the whiteSpace facet. A value
+// already in the requested form is returned as it is, without allocating.
 func ApplyWhiteSpace(ws WhiteSpace, s string) string {
 	switch ws {
 	case WSPreserve:
 		return s
 	case WSReplace:
+		if isReplaced(s) {
+			return s
+		}
 		var sb strings.Builder
 		sb.Grow(len(s))
 		for _, r := range s {
@@ -177,10 +183,109 @@ func ApplyWhiteSpace(ws WhiteSpace, s string) string {
 		}
 		return sb.String()
 	default: // WSCollapse
-		fields := strings.FieldsFunc(s, func(r rune) bool {
-			return r == ' ' || r == '\t' || r == '\n' || r == '\r'
-		})
-		return strings.Join(fields, " ")
+		if isCollapsed(s) {
+			return s
+		}
+		// The separators are ASCII, so a byte loop splits exactly where
+		// a rune loop would and copies everything else unchanged.
+		var sb strings.Builder
+		sb.Grow(len(s))
+		sep := false
+		for i := 0; i < len(s); i++ {
+			if c := s[i]; c == ' ' || c == '\t' || c == '\n' || c == '\r' {
+				sep = sb.Len() > 0
+			} else {
+				if sep {
+					sb.WriteByte(' ')
+					sep = false
+				}
+				sb.WriteByte(c)
+			}
+		}
+		return sb.String()
+	}
+}
+
+// isReplaced reports whether s is its own replace form: no tab, newline
+// or carriage return, and valid UTF-8 (the rewrite turns an invalid byte
+// into U+FFFD).
+func isReplaced(s string) bool {
+	ascii := true
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\t' || c == '\n' || c == '\r':
+			return false
+		case c >= utf8.RuneSelf:
+			ascii = false
+		}
+	}
+	return ascii || utf8.ValidString(s)
+}
+
+// isCollapsed reports whether s is its own collapse form: no tab, newline
+// or carriage return, no leading or trailing space and no two spaces in a
+// row.
+func isCollapsed(s string) bool {
+	space := true // a space here would be leading or doubled
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case '\t', '\n', '\r':
+			return false
+		case ' ':
+			if space {
+				return false
+			}
+			space = true
+		default:
+			space = false
+		}
+	}
+	return !space || s == ""
+}
+
+// ParseList parses a whitespace-separated list, splitting where
+// strings.Fields does and parsing each item with parse. It stops at the
+// first item error and returns it unchanged. An empty list is nil; any
+// other is allocated once, at its exact length.
+func ParseList(s string, parse func(item string) (Value, error)) ([]Value, error) {
+	n := 0
+	eachField(s, func(string) bool { n++; return true })
+	if n == 0 {
+		return nil, nil
+	}
+	items := make([]Value, 0, n)
+	var err error
+	eachField(s, func(f string) bool {
+		var v Value
+		if v, err = parse(f); err != nil {
+			return false
+		}
+		items = append(items, v)
+		return true
+	})
+	if err != nil {
+		return nil, err
+	}
+	return items, nil
+}
+
+// eachField calls f on each field of s as strings.Fields splits it (runs
+// of non-space characters, unicode.IsSpace deciding) until f returns
+// false.
+func eachField(s string, f func(field string) bool) {
+	start := -1
+	for i, r := range s {
+		if unicode.IsSpace(r) {
+			if start >= 0 && !f(s[start:i]) {
+				return
+			}
+			start = -1
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start >= 0 {
+		f(s[start:])
 	}
 }
 
@@ -206,10 +311,15 @@ func parseFloat(s string, bits int) (float64, error) {
 		return math.NaN(), nil
 	}
 	// XSD does not allow hex floats, "Inf", "nan", or leading/trailing
-	// junk; ParseFloat is close enough after excluding those spellings.
-	lower := strings.ToLower(s)
-	if strings.Contains(lower, "inf") || strings.Contains(lower, "nan") || strings.Contains(lower, "x") || strings.Contains(lower, "p") {
-		return 0, fmt.Errorf("bad float %q", s)
+	// junk; ParseFloat is close enough once every byte is one a decimal
+	// float can hold. The underscore is one because ParseFloat accepts Go
+	// digit separators (1_000), which this check has always let through.
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= '0' && c <= '9', c == '+', c == '-', c == '.', c == 'e', c == 'E', c == '_':
+		default:
+			return 0, fmt.Errorf("bad float %q", s)
+		}
 	}
 	f, err := strconv.ParseFloat(s, bits)
 	if err != nil {
