@@ -7,14 +7,19 @@ package repro
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/iotest"
 
 	"repro/internal/bind"
+	"repro/internal/dom"
 	"repro/internal/schemas"
+	"repro/internal/validator"
 	"repro/internal/wml"
+	"repro/internal/xmlparser"
 	"repro/internal/xsd"
+	"repro/internal/xsdtypes"
 )
 
 // bindAnyXSD exercises the wildcard binding paths: xs:any children that
@@ -147,6 +152,135 @@ func TestBindStreamMatchesDOM(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// eventLog records a validation pass's observer events as strings, so the
+// sequences the two drivers fire can be compared.
+type eventLog []string
+
+func (l *eventLog) OpenElement(decl *xsd.ElementDecl, typ xsd.Type, _ *xmlparser.Token, nilled, wild bool) {
+	*l = append(*l, fmt.Sprintf("open %s type=%s/%p nilled=%v wild=%v", decl.Name, typ.TypeName(), typ, nilled, wild))
+}
+
+func (l *eventLog) CloseElement(val *xsdtypes.Value) {
+	if val == nil {
+		*l = append(*l, "close")
+		return
+	}
+	*l = append(*l, fmt.Sprintf("close %d %q", val.Kind, val.String()))
+}
+
+func (l *eventLog) MixedText(data string) { *l = append(*l, fmt.Sprintf("text %q", data)) }
+
+func (l *eventLog) RawElement(root *dom.Element) { *l = append(*l, "raw "+dom.ToString(root)) }
+
+// TestStreamEventsMatchDOM is the observer differential: on every
+// well-formed instance of the binding corpus, valid or not, the DOM replay
+// and the token stream fire the same event sequence. The corpus covers
+// the stream's buffered subtrees (the identity-constrained holder and the
+// interpreted xs:all card), raw wildcard subtrees and mixed content.
+func TestStreamEventsMatchDOM(t *testing.T) {
+	seen := map[string]int{}
+	for _, tc := range append(append([]diffCase{}, diffCases...), bindCases...) {
+		t.Run(tc.name, func(t *testing.T) {
+			schema, err := xsd.ParseString(tc.xsdSrc, nil)
+			if err != nil {
+				t.Fatalf("schema: %v", err)
+			}
+			v := validator.New(schema, nil)
+			for label, src := range tc.instances {
+				doc, err := dom.ParseString(src)
+				if err != nil {
+					continue // the stream fires events before it finds the error
+				}
+				var replay, stream eventLog
+				v.ValidateDocumentEvents(doc, &replay)
+				v.Stream().ValidateBytesEvents([]byte(src), &stream)
+				if strings.Join(replay, "\n") != strings.Join(stream, "\n") {
+					t.Errorf("%s: event sequences diverged:\n  replay: %q\n  stream: %q", label, replay, stream)
+				}
+				for _, e := range replay {
+					seen[tc.name+": "+strings.Fields(e)[0]]++
+				}
+			}
+		})
+	}
+	for _, want := range []string{
+		"namespace bindings at subtree entry: open",
+		"interpreted content model: open",
+		"wildcards: raw",
+		"stream feature coverage: text",
+		"wml: text",
+	} {
+		if seen[want] == 0 {
+			t.Errorf("corpus fired no %q events", want)
+		}
+	}
+}
+
+// decodeElementXSD declares <entry> globally, so one entry can be decoded
+// on its own; its IDREF points at a sibling.
+const decodeElementXSD = `<?xml version="1.0"?>
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="registry">
+    <xsd:complexType>
+      <xsd:sequence>
+        <xsd:element ref="entry" maxOccurs="unbounded"/>
+      </xsd:sequence>
+    </xsd:complexType>
+  </xsd:element>
+  <xsd:element name="entry">
+    <xsd:complexType>
+      <xsd:sequence>
+        <xsd:element name="label" type="xsd:string"/>
+        <xsd:element name="weight" type="xsd:decimal"/>
+      </xsd:sequence>
+      <xsd:attribute name="id" type="xsd:ID"/>
+      <xsd:attribute name="ref" type="xsd:IDREF"/>
+    </xsd:complexType>
+  </xsd:element>
+</xsd:schema>
+`
+
+// TestBindDecodeElement decodes one subtree of a validated document with
+// DecodeElement. Its IDREF names an ID outside the subtree, which the
+// subtree's own replay cannot resolve; the value must still be the one
+// DecodeDocument produced for that subtree, and wild must reach the root
+// value.
+func TestBindDecodeElement(t *testing.T) {
+	schema, err := xsd.ParseString(decodeElementXSD, nil)
+	if err != nil {
+		t.Fatalf("schema: %v", err)
+	}
+	decl, ok := schema.LookupElement(xsd.QName{Local: "entry"})
+	if !ok {
+		t.Fatal("no global entry declaration")
+	}
+	b := bind.New(schema, nil)
+	doc, err := dom.ParseString(`<registry><entry id="a"><label>one</label><weight>1.50</weight></entry><entry id="b" ref="a"><label>two</label><weight>2</weight></entry></registry>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, res := b.DecodeDocument(doc)
+	if whole == nil {
+		t.Fatalf("document did not decode: %v", res.Violations)
+	}
+	el := doc.DocumentElement().ChildElements()[1]
+	if b.Validator().ValidateElement(el, decl).OK() {
+		t.Fatal("setup: the subtree's IDREF resolves on its own")
+	}
+	for _, wild := range []bool{false, true} {
+		v, err := b.DecodeElement(el, decl, wild)
+		if err != nil {
+			t.Fatalf("wild=%v: %v", wild, err)
+		}
+		if v.Wild != wild {
+			t.Errorf("wild=%v: root value has Wild=%v", wild, v.Wild)
+		}
+		if got, want := b.JSON(v), b.JSON(whole.Children[1]); !bytes.Equal(got, want) {
+			t.Errorf("wild=%v: DecodeElement JSON %s, DecodeDocument's subtree %s", wild, got, want)
+		}
 	}
 }
 

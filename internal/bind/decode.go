@@ -1,18 +1,22 @@
 package bind
 
-// The DOM decode path: validate first (the verdict is authoritative), then
-// walk the tree assuming validity. Child classification re-runs the cached
-// content-model matcher once per element — the same automata the validator
-// used — so wildcard admissions and substitution resolution agree with the
-// verdict by construction.
+// The decoder: a validator.StreamEvents consumer that builds the value
+// tree from the frame machine's events. Both drivers fire them: the DOM
+// replay (DecodeDocument, DecodeElement, below) and the token stream
+// (DecodeReader, DecodeStreamBytes in stream.go). The only retained state
+// is the open-element value stack; governing types arrive resolved and
+// simple values arrive parsed from the validator's frames, so every
+// element is classified and its text parsed exactly once, by the
+// validator.
 
 import (
 	"fmt"
 
-	"repro/internal/contentmodel"
 	"repro/internal/dom"
 	"repro/internal/validator"
+	"repro/internal/xmlparser"
 	"repro/internal/xsd"
+	"repro/internal/xsdtypes"
 )
 
 // DecodeBytes parses, validates and decodes a document. An unparseable
@@ -27,158 +31,134 @@ func (b *Binder) DecodeBytes(src []byte) (*Value, *validator.Result) {
 }
 
 // DecodeDocument validates the document and, when valid, decodes it into
-// a typed Value. The returned Result is always the full verdict.
+// a typed Value, in one replay of the tree. The returned Result is always
+// the full verdict.
 func (b *Binder) DecodeDocument(doc *dom.Document) (*Value, *validator.Result) {
-	res := b.v.ValidateDocument(doc)
-	if !res.OK() {
-		return nil, res
-	}
-	root := doc.DocumentElement()
-	if root == nil {
-		return nil, res
-	}
-	decl, ok := b.schema.LookupElement(xsd.QName{Space: root.NamespaceURI(), Local: root.LocalName()})
-	if !ok {
-		return nil, res
-	}
-	v, err := b.decodeElement(root, decl, false)
+	d := &decoder{}
+	v, res, err := d.finish(b.v.ValidateDocumentEvents(doc, d))
 	if err != nil {
 		// Defensive: a document the validator accepted must decode; any
 		// error here is a binder bug surfaced as a verdict.
-		return nil, &validator.Result{Violations: []validator.Violation{{Path: "/", Msg: "bind: " + err.Error()}}}
+		return nil, &validator.Result{Violations: []validator.Violation{{Path: "/", Msg: err.Error()}}}
 	}
 	return v, res
 }
 
-// decodeElement decodes one validated element governed by decl.
-func (b *Binder) decodeElement(el *dom.Element, decl *xsd.ElementDecl, wild bool) (*Value, error) {
-	v := &Value{Name: xsd.QName{Space: el.NamespaceURI(), Local: el.LocalName()}, Wild: wild}
-	typ := decl.Type
-	if lex := el.GetAttributeNS(xsd.XSINamespace, "type"); lex != "" {
-		q, err := resolveQName(el, lex)
-		if err != nil {
-			return nil, err
-		}
-		t, ok := b.schema.LookupType(q)
-		if !ok {
-			return nil, fmt.Errorf("xsi:type %s names an unknown type", q)
-		}
-		typ = t
-		v.TypeName = t.TypeName()
+// DecodeElement decodes one element governed by decl, which the caller
+// has already validated. wild marks a wildcard-admitted element (bound
+// under "$any"). The replay's verdict belongs to the caller: it sees only
+// el's subtree, so an IDREF to an ID outside it is not an error here.
+func (b *Binder) DecodeElement(el *dom.Element, decl *xsd.ElementDecl, wild bool) (*Value, error) {
+	d := &decoder{}
+	b.v.ValidateElementEvents(el, decl, wild, d)
+	if d.err != nil {
+		return nil, d.err
 	}
-	v.typ = typ
-	ct, isComplex := typ.(*xsd.ComplexType)
-	if isComplex {
-		v.Attrs = b.typedAttrs(ct, domRawAttrs(el))
+	if d.root == nil {
+		return nil, fmt.Errorf("bind: element %s produced no value", decl.Name)
 	}
-	if lex := el.GetAttributeNS(xsd.XSINamespace, "nil"); lex == "true" || lex == "1" {
+	return d.root, nil
+}
+
+// decoder implements validator.StreamEvents.
+type decoder struct {
+	stack []*Value
+	root  *Value
+	err   error
+}
+
+func (d *decoder) finish(res *validator.Result) (*Value, *validator.Result, error) {
+	if !res.OK() {
+		return nil, res, nil
+	}
+	if d.err != nil {
+		return nil, res, d.err
+	}
+	if d.root == nil {
+		return nil, res, fmt.Errorf("bind: decode produced no root value")
+	}
+	return d.root, res, nil
+}
+
+// OpenElement implements validator.StreamEvents.
+func (d *decoder) OpenElement(decl *xsd.ElementDecl, typ xsd.Type, tok *xmlparser.Token, nilled, wildcard bool) {
+	v := &Value{Name: xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local}, typ: typ, Wild: wildcard}
+	if lex, _ := tok.Attr(xsd.XSINamespace, "type"); lex != "" {
+		v.TypeName = typ.TypeName()
+	}
+	if ct, ok := typ.(*xsd.ComplexType); ok {
+		v.Attrs = typedAttrs(ct, tok)
+	}
+	switch {
+	case nilled:
 		v.Kind = KindNil
-		return v, nil
-	}
-	if st, ok := typ.(*xsd.SimpleType); ok {
-		text := el.TextContent()
-		if text == "" && decl.Fixed != nil {
-			text = *decl.Fixed
-		}
-		if text == "" && decl.Default != nil {
-			text = *decl.Default
-		}
-		val, err := st.Parse(text)
-		if err != nil {
-			return nil, err
-		}
-		v.Kind = KindSimple
-		v.Simple = val
-		return v, nil
-	}
-	switch ct.Kind {
-	case xsd.ContentSimple:
-		val, err := ct.SimpleContentType.Parse(el.TextContent())
-		if err != nil {
-			return nil, err
-		}
-		v.Kind = KindSimple
-		v.Simple = val
-		return v, nil
-	case xsd.ContentEmpty:
-		v.Kind = KindEmpty
-		return v, nil
 	default:
-		return v, b.decodeModel(v, el, ct)
+		switch t := typ.(type) {
+		case *xsd.SimpleType:
+			v.Kind = KindSimple
+		case *xsd.ComplexType:
+			switch t.Kind {
+			case xsd.ContentSimple:
+				v.Kind = KindSimple
+			case xsd.ContentEmpty:
+				v.Kind = KindEmpty
+			case xsd.ContentMixed:
+				v.Kind = KindMixed
+			default:
+				v.Kind = KindStruct
+			}
+		}
+	}
+	d.stack = append(d.stack, v)
+}
+
+// CloseElement implements validator.StreamEvents.
+func (d *decoder) CloseElement(val *xsdtypes.Value) {
+	n := len(d.stack)
+	if n == 0 {
+		if d.err == nil {
+			d.err = fmt.Errorf("bind: unbalanced CloseElement")
+		}
+		return
+	}
+	v := d.stack[n-1]
+	d.stack = d.stack[:n-1]
+	if v.Kind == KindSimple && val != nil {
+		v.Simple = *val
+	}
+	d.attach(v)
+}
+
+// MixedText implements validator.StreamEvents.
+func (d *decoder) MixedText(data string) {
+	if n := len(d.stack); n > 0 && d.stack[n-1].Kind == KindMixed {
+		d.stack[n-1].Segments = appendText(d.stack[n-1].Segments, data)
 	}
 }
 
-// decodeModel decodes element-only or mixed content by matching the child
-// sequence against the type's content model.
-func (b *Binder) decodeModel(v *Value, el *dom.Element, ct *xsd.ComplexType) error {
-	kids := el.ChildNodes()
-	var elems []*dom.Element
-	var syms []contentmodel.Symbol
-	for _, k := range kids {
-		if e, ok := k.(*dom.Element); ok {
-			elems = append(elems, e)
-			syms = append(syms, contentmodel.Symbol{Space: e.NamespaceURI(), Local: e.LocalName()})
-		}
-	}
-	leaves, merr := ct.Matcher(b.schema).Match(syms)
-	if merr != nil {
-		return fmt.Errorf("content model rejected validated children: %s", merr.Error())
-	}
-	vals := make([]*Value, len(elems))
-	for i, e := range elems {
-		name := xsd.QName{Space: syms[i].Space, Local: syms[i].Local}
-		var cv *Value
-		var err error
-		switch data := leaves[i].Data.(type) {
-		case *xsd.ElementDecl:
-			resolved, rerr := b.schema.ResolveChild(data, name)
-			if rerr != nil {
-				return rerr
-			}
-			cv, err = b.decodeElement(e, resolved, false)
-		case *contentmodel.Wildcard:
-			if gdecl, ok := b.schema.LookupElement(name); ok {
-				cv, err = b.decodeElement(e, gdecl, true)
-			} else {
-				cv = &Value{Name: name, Kind: KindRaw, Wild: true, Raw: dom.ToString(e)}
-			}
-		default:
-			return fmt.Errorf("child %s matched no declaration or wildcard", name)
-		}
-		if err != nil {
-			return err
-		}
-		vals[i] = cv
-	}
-	if ct.Kind == xsd.ContentMixed {
-		v.Kind = KindMixed
-		ei := 0
-		for _, k := range kids {
-			switch n := k.(type) {
-			case *dom.Element:
-				v.Segments = append(v.Segments, Segment{Child: vals[ei]})
-				ei++
-			case *dom.Text:
-				v.Segments = appendText(v.Segments, n.Data)
-			case *dom.CDATASection:
-				v.Segments = appendText(v.Segments, n.Data)
-			}
-		}
-		return nil
-	}
-	v.Kind = KindStruct
-	v.Children = vals
-	return nil
+// RawElement implements validator.StreamEvents: an undeclared wildcard
+// subtree binds as its serialized XML.
+func (d *decoder) RawElement(root *dom.Element) {
+	name := xsd.QName{Space: root.NamespaceURI(), Local: root.LocalName()}
+	d.attach(&Value{Name: name, Kind: KindRaw, Wild: true, Raw: dom.ToString(root)})
 }
 
-func domRawAttrs(el *dom.Element) []rawAttr {
-	var out []rawAttr
-	for _, a := range el.Attributes() {
-		n := a.Name()
-		if isMetaSpace(n.Space) {
-			continue
+// attach delivers a completed child to the innermost open element, or
+// records the root.
+func (d *decoder) attach(v *Value) {
+	if n := len(d.stack); n > 0 {
+		p := d.stack[n-1]
+		switch p.Kind {
+		case KindMixed:
+			p.Segments = append(p.Segments, Segment{Child: v})
+		case KindStruct:
+			p.Children = append(p.Children, v)
 		}
-		out = append(out, rawAttr{name: xsd.QName{Space: n.Space, Local: n.Local}, value: a.Value()})
+		// Other parent kinds only occur on invalid documents; the value
+		// is discarded with the verdict.
+		return
 	}
-	return out
+	if d.root == nil {
+		d.root = v
+	}
 }

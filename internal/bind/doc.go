@@ -11,13 +11,15 @@
 // date (xsdtypes decoders), which branch of a choice was taken, and where
 // mixed content degrades to ordered segments.
 //
-// Two decode paths produce identical values:
+// One decoder consumes the validator's frame events
+// (validator.StreamEvents), whichever driver fires them, so the two decode
+// paths produce identical values:
 //
-//   - the DOM path re-uses validator.ValidateDocument and then walks the
-//     tree, classifying children with the cached content-model matchers;
-//   - the streaming path hooks validator.StreamValidator's frame
-//     transitions (validator.StreamEvents), building the value tree in
-//     O(depth) alongside the lazy-DFA stepping, with no DOM.
+//   - the DOM path replays the tree through the frame machine once
+//     (validator.ValidateDocumentEvents);
+//   - the streaming path attaches to the token loop
+//     (validator.StreamValidator), building the value tree in O(depth)
+//     alongside the lazy-DFA stepping, with no DOM.
 //
 // Marshal is the reverse direction: a Value (decoded, or built from JSON
 // via FromJSON) is serialized to XML and checked through the same content

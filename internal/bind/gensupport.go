@@ -4,24 +4,15 @@ package bind
 // back end of internal/codegen). Generated packages build Value trees with
 // specialized straight-line walks, but delegate cold paths — xsi:type
 // substitutions, declarations pruned out of the generated code — to the
-// generic decoder, and reuse the canonical serializer and mixed-content
-// merge rule so their output is byte-identical to the interpreted path.
+// generic decoder (Binder.DecodeElement), and reuse the canonical
+// serializer and mixed-content merge rule so their output is
+// byte-identical to the interpreted path.
 
-import (
-	"repro/internal/dom"
-	"repro/internal/xsd"
-)
+import "repro/internal/xsd"
 
 // SetType sets the effective governing type generated decoders record on
 // the values they build (the generic decoder sets it internally).
 func (v *Value) SetType(t xsd.Type) { v.typ = t }
-
-// DecodeElement decodes one validated element governed by decl on the
-// generic walk. wild marks wildcard-admitted elements (bound under
-// "$any").
-func (b *Binder) DecodeElement(el *dom.Element, decl *xsd.ElementDecl, wild bool) (*Value, error) {
-	return b.decodeElement(el, decl, wild)
-}
 
 // AppendText adds character data to a mixed-content segment list with the
 // canonical merge rule (adjacent text coalesced, empty runs dropped).

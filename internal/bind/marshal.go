@@ -7,11 +7,14 @@ package bind
 // re-prefixed deterministically: the empty namespace stays unprefixed,
 // xsi/xsd keep their conventional prefixes, and everything else is
 // assigned ns1, ns2, … in first-seen document order, all declared on the
-// root. Equal values therefore marshal to byte-equal documents.
+// root. Children keep document order, except that xs:all children are
+// emitted in declared order. Equal values therefore marshal to byte-equal
+// documents.
 
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"repro/internal/dom"
 	"repro/internal/xsd"
@@ -161,7 +164,7 @@ func writeXML(w *bytes.Buffer, v *Value, ns *nsTable, root bool) {
 			return
 		}
 		w.WriteByte('>')
-		for _, c := range v.Children {
+		for _, c := range declaredOrder(v) {
 			writeXML(w, c, ns, false)
 		}
 		closeTag(w, tag)
@@ -182,6 +185,29 @@ func writeXML(w *bytes.Buffer, v *Value, ns *nsTable, root bool) {
 	default:
 		w.WriteString("/>")
 	}
+}
+
+// declaredOrder returns the children of an xs:all value in declared
+// order, the order FromJSON rebuilds them in, so a permuted document and
+// its JSON projection marshal to the same bytes. Other content models fix
+// the order themselves and keep document order. A child no particle of
+// the group names (a substitution member) follows the declared ones.
+func declaredOrder(v *Value) []*Value {
+	ct, ok := v.typ.(*xsd.ComplexType)
+	if !ok || ct.Particle == nil || ct.Particle.Group == nil || ct.Particle.Group.Kind != xsd.All {
+		return v.Children
+	}
+	rank := func(c *Value) int {
+		for i, p := range ct.Particle.Group.Particles {
+			if p.Element != nil && p.Element.Name == c.Name {
+				return i
+			}
+		}
+		return len(ct.Particle.Group.Particles)
+	}
+	out := slices.Clone(v.Children)
+	slices.SortStableFunc(out, func(a, b *Value) int { return rank(a) - rank(b) })
+	return out
 }
 
 func closeTag(w *bytes.Buffer, tag string) {

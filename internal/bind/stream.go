@@ -1,21 +1,17 @@
 package bind
 
-// The streaming decode path: a validator.StreamEvents observer that builds
-// the value tree during the streaming validation pass. Memory stays
-// O(depth + output): the only retained state is the open-element value
-// stack; simple values arrive already parsed from the validator's frames,
-// so text is parsed exactly once per element across both consumers.
+// The streaming decode path: the decoder (decode.go) attached to the
+// token-stream driver of the frame machine. The DOM replay fires the same
+// events, so both paths build identical values; this one builds no tree,
+// and memory stays O(depth + output) apart from subtrees the validator
+// buffers for identity constraints or interpreted content models, which it
+// replays with the decoder still attached.
 
 import (
 	"context"
-	"fmt"
 	"io"
 
-	"repro/internal/dom"
 	"repro/internal/validator"
-	"repro/internal/xmlparser"
-	"repro/internal/xsd"
-	"repro/internal/xsdtypes"
 )
 
 // DecodeReader validates a document from r through the streaming path and
@@ -23,209 +19,16 @@ import (
 // is nil when the document is invalid. The error reports I/O-independent
 // internal failures only (the verdict owns everything schema-related).
 func (b *Binder) DecodeReader(ctx context.Context, r io.Reader) (*Value, *validator.Result, error) {
-	sb := &streamBinder{b: b}
-	res, err := b.sv.ValidateReaderEvents(ctx, r, sb)
+	d := &decoder{}
+	res, err := b.sv.ValidateReaderEvents(ctx, r, d)
 	if err != nil {
 		return nil, nil, err
 	}
-	return sb.finish(res)
+	return d.finish(res)
 }
 
 // DecodeStreamBytes is DecodeReader over an in-memory document.
 func (b *Binder) DecodeStreamBytes(src []byte) (*Value, *validator.Result, error) {
-	sb := &streamBinder{b: b}
-	res := b.sv.ValidateBytesEvents(src, sb)
-	return sb.finish(res)
-}
-
-// streamBinder implements validator.StreamEvents.
-type streamBinder struct {
-	b     *Binder
-	stack []*Value
-	root  *Value
-	err   error
-
-	// Raw-fragment builder for skipped wildcard subtrees.
-	rawDoc   *dom.Document
-	rawRoot  *dom.Element
-	rawCur   dom.Node
-	rawDepth int
-}
-
-func (sb *streamBinder) finish(res *validator.Result) (*Value, *validator.Result, error) {
-	if !res.OK() {
-		return nil, res, nil
-	}
-	if sb.err != nil {
-		return nil, res, sb.err
-	}
-	if sb.root == nil {
-		return nil, res, fmt.Errorf("bind: stream decode produced no root value")
-	}
-	return sb.root, res, nil
-}
-
-func (sb *streamBinder) fail(err error) {
-	if sb.err == nil {
-		sb.err = err
-	}
-}
-
-// OpenElement implements validator.StreamEvents.
-func (sb *streamBinder) OpenElement(decl *xsd.ElementDecl, typ xsd.Type, tok *xmlparser.Token, nilled, wildcard bool) {
-	v := &Value{Name: xsd.QName{Space: tok.Name.Space, Local: tok.Name.Local}, typ: typ, Wild: wildcard}
-	if lex, _ := tok.Attr(xsd.XSINamespace, "type"); lex != "" {
-		v.TypeName = typ.TypeName()
-	}
-	if ct, ok := typ.(*xsd.ComplexType); ok {
-		v.Attrs = sb.b.typedAttrs(ct, tokRawAttrs(tok))
-	}
-	switch {
-	case nilled:
-		v.Kind = KindNil
-	default:
-		switch t := typ.(type) {
-		case *xsd.SimpleType:
-			v.Kind = KindSimple
-		case *xsd.ComplexType:
-			switch t.Kind {
-			case xsd.ContentSimple:
-				v.Kind = KindSimple
-			case xsd.ContentEmpty:
-				v.Kind = KindEmpty
-			case xsd.ContentMixed:
-				v.Kind = KindMixed
-			default:
-				v.Kind = KindStruct
-			}
-		}
-	}
-	sb.stack = append(sb.stack, v)
-}
-
-// CloseElement implements validator.StreamEvents.
-func (sb *streamBinder) CloseElement(val *xsdtypes.Value) {
-	n := len(sb.stack)
-	if n == 0 {
-		sb.fail(fmt.Errorf("bind: unbalanced CloseElement"))
-		return
-	}
-	v := sb.stack[n-1]
-	sb.stack = sb.stack[:n-1]
-	if v.Kind == KindSimple && val != nil {
-		v.Simple = *val
-	}
-	sb.attach(v)
-}
-
-// MixedText implements validator.StreamEvents.
-func (sb *streamBinder) MixedText(data string) {
-	if n := len(sb.stack); n > 0 && sb.stack[n-1].Kind == KindMixed {
-		sb.stack[n-1].Segments = appendText(sb.stack[n-1].Segments, data)
-	}
-}
-
-// RawToken implements validator.StreamEvents: rebuild the skipped subtree
-// with the same token-to-node mapping the DOM parser uses, then serialize
-// it, so both decode paths produce byte-identical raw fragments.
-func (sb *streamBinder) RawToken(tok *xmlparser.Token) {
-	switch tok.Kind {
-	case xmlparser.KindStartElement:
-		if sb.rawDepth == 0 {
-			doc := dom.NewDocument()
-			root := doc.CreateElementNS(tok.Name.Space, tok.Name.Qualified())
-			copyTokAttrs(root, tok)
-			_, _ = doc.AppendChild(root)
-			sb.rawDoc, sb.rawRoot, sb.rawCur, sb.rawDepth = doc, root, root, 1
-			return
-		}
-		e := sb.rawDoc.CreateElementNS(tok.Name.Space, tok.Name.Qualified())
-		copyTokAttrs(e, tok)
-		_, _ = sb.rawCur.AppendChild(e)
-		sb.rawCur = e
-		sb.rawDepth++
-	case xmlparser.KindEndElement:
-		if sb.rawDepth == 0 {
-			return
-		}
-		if sb.rawDepth--; sb.rawDepth == 0 {
-			name := xsd.QName{Space: sb.rawRoot.NamespaceURI(), Local: sb.rawRoot.LocalName()}
-			sb.attach(&Value{Name: name, Kind: KindRaw, Wild: true, Raw: dom.ToString(sb.rawRoot)})
-			sb.rawDoc, sb.rawRoot, sb.rawCur = nil, nil, nil
-			return
-		}
-		sb.rawCur = sb.rawCur.ParentNode()
-	case xmlparser.KindText:
-		if tok.Data() == "" || sb.rawDepth == 0 {
-			return
-		}
-		_, _ = sb.rawCur.AppendChild(sb.rawDoc.CreateTextNode(tok.Data()))
-	case xmlparser.KindCData:
-		if sb.rawDepth == 0 {
-			return
-		}
-		_, _ = sb.rawCur.AppendChild(sb.rawDoc.CreateCDATASection(tok.Data()))
-	case xmlparser.KindComment:
-		if sb.rawDepth == 0 {
-			return
-		}
-		_, _ = sb.rawCur.AppendChild(sb.rawDoc.CreateComment(tok.Data()))
-	case xmlparser.KindProcInst:
-		if sb.rawDepth == 0 {
-			return
-		}
-		_, _ = sb.rawCur.AppendChild(sb.rawDoc.CreateProcessingInstruction(tok.Target, tok.Data()))
-	}
-}
-
-// FallbackElement implements validator.StreamEvents: subtrees the
-// streaming validator buffered (identity constraints, non-Glushkov
-// models) decode through the DOM path before the pooled document is
-// released.
-func (sb *streamBinder) FallbackElement(decl *xsd.ElementDecl, root *dom.Element, wildcard bool) {
-	v, err := sb.b.decodeElement(root, decl, wildcard)
-	if err != nil {
-		// Invalid subtree: the verdict carries it, the value is discarded.
-		return
-	}
-	sb.attach(v)
-}
-
-// attach delivers a completed child to the innermost open element, or
-// records the root.
-func (sb *streamBinder) attach(v *Value) {
-	if n := len(sb.stack); n > 0 {
-		p := sb.stack[n-1]
-		switch p.Kind {
-		case KindMixed:
-			p.Segments = append(p.Segments, Segment{Child: v})
-		case KindStruct:
-			p.Children = append(p.Children, v)
-		}
-		// Other parent kinds only occur on invalid documents; the value
-		// is discarded with the verdict.
-		return
-	}
-	if sb.root == nil {
-		sb.root = v
-	}
-}
-
-func tokRawAttrs(tok *xmlparser.Token) []rawAttr {
-	var out []rawAttr
-	for i := range tok.Attrs {
-		a := &tok.Attrs[i]
-		if isMetaSpace(a.Name.Space) {
-			continue
-		}
-		out = append(out, rawAttr{name: xsd.QName{Space: a.Name.Space, Local: a.Name.Local}, value: a.Value})
-	}
-	return out
-}
-
-func copyTokAttrs(e *dom.Element, tok *xmlparser.Token) {
-	for i := range tok.Attrs {
-		a := &tok.Attrs[i]
-		e.SetAttributeNS(a.Name.Space, a.Name.Qualified(), a.Value)
-	}
+	d := &decoder{}
+	return d.finish(b.sv.ValidateBytesEvents(src, d))
 }

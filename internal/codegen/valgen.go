@@ -22,6 +22,7 @@ import (
 	"repro/internal/dom"
 	"repro/internal/normalize"
 	"repro/internal/validator"
+	"repro/internal/xmlparser"
 	"repro/internal/xsd"
 	"repro/internal/xsdtypes"
 )
@@ -81,7 +82,7 @@ type valgen struct {
 	opts   Options
 
 	// reached is the corpus-pruning live set; nil disables pruning.
-	reached map[*xsd.ElementDecl]bool
+	reached reachSet
 
 	// Handles: package-level vars resolving schema components from RT.
 	handles  []handleVar
@@ -152,24 +153,33 @@ func (v *valgen) fail(format string, args ...any) {
 	}
 }
 
-// observeCorpus validates every corpus document with an ElementObserver,
+// observeCorpus validates every corpus document with a reachSet attached,
 // recording which declarations the interpreted walk reaches.
 func (v *valgen) observeCorpus() error {
-	v.reached = map[*xsd.ElementDecl]bool{}
-	val := validator.New(v.schema, &validator.Options{
-		ElementObserver: func(d *xsd.ElementDecl) { v.reached[d] = true },
-	})
+	v.reached = reachSet{}
+	val := validator.New(v.schema, nil)
 	for _, cd := range v.opts.Corpus {
 		doc, err := dom.ParseString(cd.Source)
 		if err != nil {
 			return fmt.Errorf("codegen: corpus document %s: %w", cd.Name, err)
 		}
-		if res := val.ValidateDocument(doc); !res.OK() {
+		if res := val.ValidateDocumentEvents(doc, v.reached); !res.OK() {
 			return fmt.Errorf("codegen: corpus document %s is invalid: %s", cd.Name, res.Violations[0].Error())
 		}
 	}
 	return nil
 }
+
+// reachSet records the governing declaration of every element a
+// validation pass opens (a validator.StreamEvents consumer).
+type reachSet map[*xsd.ElementDecl]bool
+
+func (r reachSet) OpenElement(d *xsd.ElementDecl, _ xsd.Type, _ *xmlparser.Token, _, _ bool) {
+	r[d] = true
+}
+func (reachSet) CloseElement(*xsdtypes.Value) {}
+func (reachSet) MixedText(string)             {}
+func (reachSet) RawElement(*dom.Element)      {}
 
 // live reports whether a declaration survived the pruning pass.
 func (v *valgen) live(d *xsd.ElementDecl) bool {

@@ -557,7 +557,7 @@ func (v *valgen) decDelegates(d *xsd.ElementDecl) bool {
 }
 
 // emitElemDecode prints the decode function of one declaration
-// (bind.Binder.decodeElement specialized to it).
+// (what bind.Binder.DecodeElement computes, specialized to it).
 func (v *valgen) emitElemDecode(d *xsd.ElementDecl) {
 	p := v.p
 	fn := v.elemFn("gvDec", d)

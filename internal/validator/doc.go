@@ -43,6 +43,11 @@
 // states, NFA stepping past it), shared by every Validator, walk and
 // goroutine over that schema.
 //
+// Both drivers fire the same observer events (events.go:
+// ValidateDocumentEvents, ValidateElementEvents, ValidateBytesEvents,
+// ValidateReaderEvents), which is how internal/bind decodes values and
+// codegen's corpus pruning records the declarations a corpus reaches.
+//
 // # Streaming entry points
 //
 // Validator.Stream returns a StreamValidator, which decides validity

@@ -1,15 +1,21 @@
 package validator
 
-// Streaming observer hook: a second consumer for the streaming pass.
+// Event observer hook: the frame machine's second consumer.
 //
-// The streaming validator already computes, frame by frame, everything a
+// The frame machine already computes, frame by frame, everything a
 // schema-directed decoder needs — the governing declaration for every
 // element (after substitution and xsi:type resolution), the parsed simple
 // value for every text leaf, and the exact boundaries of unvalidated
 // wildcard subtrees. StreamEvents exposes those facts as callbacks so a
-// consumer (internal/bind) can build typed values in the same O(depth)
-// pass, without re-deriving any of it and without the validator knowing
+// consumer (internal/bind) can build typed values in the same pass,
+// without re-deriving any of it and without the validator knowing
 // anything about binding.
+//
+// Both drivers fire the same events: the token loop (ValidateBytesEvents,
+// ValidateReaderEvents) and the DOM replay (ValidateDocumentEvents,
+// ValidateElementEvents). A subtree the token stream buffers for replay
+// (identity constraints, interpreted content models) is replayed with the
+// observer attached, so its elements arrive as ordinary Open/Close pairs.
 //
 // Verdict parity is untouched: events are fired from the existing frame
 // transitions and never alter them. On invalid documents the callback
@@ -27,11 +33,11 @@ import (
 	"repro/internal/xsdtypes"
 )
 
-// StreamEvents receives structural callbacks during a streaming validation
-// pass. Implementations must not retain the *xmlparser.Token or the
-// *dom.Element beyond the call: tokens are reused by the decoder loop and
-// fallback elements live in a pooled document that is released when the
-// callback returns.
+// StreamEvents receives structural callbacks during a validation pass.
+// Implementations must not retain the *xmlparser.Token, the
+// *xsdtypes.Value or the *dom.Element beyond the call: tokens and the
+// value slot are reused by the machine, and a raw element on the token
+// stream lives in a pooled fragment released when the callback returns.
 type StreamEvents interface {
 	// OpenElement fires when a validated element opens. decl is the
 	// governing declaration (after wildcard/substitution resolution), typ
@@ -46,22 +52,15 @@ type StreamEvents interface {
 	CloseElement(val *xsdtypes.Value)
 
 	// MixedText fires for character data directly inside a mixed-content
-	// element, one call per text or CDATA token, in document order.
+	// element, one call per text or CDATA node, in document order.
 	MixedText(data string)
 
-	// RawToken fires for every token of a skipped wildcard subtree (a lax
-	// wildcard match with no global declaration), starting with the
-	// subtree's own start tag. The consumer sees the raw token stream and
-	// may rebuild the fragment; the validator guarantees nothing about it.
-	RawToken(tok *xmlparser.Token)
-
-	// FallbackElement fires when a subtree the streaming path buffered
-	// for replay (identity constraints, non-Glushkov models) has been
-	// validated. root is the buffered subtree with the
-	// in-scope namespace bindings grafted on; it is released after the
-	// callback returns. No OpenElement/CloseElement pair is delivered for
-	// elements inside a fallback subtree.
-	FallbackElement(decl *xsd.ElementDecl, root *dom.Element, wildcard bool)
+	// RawElement fires for a skipped wildcard subtree (a lax wildcard
+	// match with no global declaration). On the DOM replay root is the
+	// element itself; on the token stream it is a fragment rebuilt from
+	// the subtree's tokens the way dom.Parse builds nodes. The validator
+	// guarantees nothing about its content.
+	RawElement(root *dom.Element)
 }
 
 // ValidateReaderEvents is ValidateReaderContext with an event observer:
@@ -75,4 +74,22 @@ func (sv *StreamValidator) ValidateReaderEvents(ctx context.Context, r io.Reader
 func (sv *StreamValidator) ValidateBytesEvents(src []byte, ev StreamEvents) *Result {
 	res, _ := sv.validate(context.Background(), xmlparser.NewDecoder(src, nil), ev)
 	return res
+}
+
+// ValidateDocumentEvents is ValidateDocument with an event observer: the
+// tree counterpart of ValidateBytesEvents.
+func (v *Validator) ValidateDocumentEvents(doc *dom.Document, ev StreamEvents) *Result {
+	m := v.newMachine()
+	m.events = ev
+	return m.document(doc)
+}
+
+// ValidateElementEvents is ValidateElement with an event observer. wild is
+// the wildcard flag OpenElement reports for el itself.
+func (v *Validator) ValidateElementEvents(el *dom.Element, decl *xsd.ElementDecl, wild bool, ev StreamEvents) *Result {
+	m := v.newMachine()
+	m.events = ev
+	m.enter(el, decl, wild, nil, "/"+el.TagName())
+	m.ids.resolve(&m.res.Violations)
+	return &m.res
 }

@@ -37,13 +37,13 @@ func (s *Sink) Full() bool { return len(s.m.res.Violations) >= maxViolations }
 // Element validates a subtree on the frame machine. Generated code
 // delegates here for xsi:type substitutions and pruned declarations.
 func (s *Sink) Element(el *dom.Element, decl *xsd.ElementDecl, path string) {
-	s.m.enter(el, decl, nil, path)
+	s.m.enter(el, decl, false, nil, path)
 }
 
 // ElementContent validates children against ct's content model on the
 // frame machine — the fallback when a model was too complex to emit.
 func (s *Sink) ElementContent(el *dom.Element, ct *xsd.ComplexType, path string) {
-	s.m.enter(el, nil, ct, path)
+	s.m.enter(el, nil, false, ct, path)
 }
 
 // IdentityConstraints evaluates decl's key/keyref/unique constraints.

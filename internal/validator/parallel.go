@@ -56,9 +56,7 @@ func (v *Validator) ParallelValidate(doc *dom.Document, workers int) *Result {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers == 1 || v.opts.ElementObserver != nil {
-		// Observer callbacks are ordering-sensitive instrumentation;
-		// keep them on the deterministic sequential walk.
+	if workers == 1 {
 		return v.ValidateDocument(doc)
 	}
 	m := v.newMachine()
@@ -137,7 +135,7 @@ func (m *machine) fanOut(el *dom.Element) bool {
 					if err != nil {
 						report(&sub.res.Violations, paths[i], err.Error())
 					} else if decl != nil {
-						sub.enter(child, decl, nil, paths[i])
+						sub.enter(child, decl, false, nil, paths[i])
 					}
 				}
 			}

@@ -181,17 +181,13 @@ type frame struct {
 
 	// Event-observer bookkeeping: announced marks frames whose OpenElement
 	// was delivered (and so owe a CloseElement); wild marks wildcard-
-	// admitted elements; evVal carries the parsed simple value from
-	// closeFrame to the CloseElement callback.
+	// admitted elements; evVal points at the machine's value slot when
+	// closeFrame parsed a simple value for the CloseElement callback.
 	announced bool
 	wild      bool
 	evVal     *xsdtypes.Value
 
-	// fmFallback subtree buffer.
-	fbDoc   *dom.Document
-	fbRoot  *dom.Element
-	fbCur   dom.Node
-	fbDepth int
+	fb fragment // fmFallback subtree buffer
 
 	// pooled marks a frame sitting on the free list; reset clears it.
 	pooled bool
@@ -230,11 +226,14 @@ type machine struct {
 	skipDepth int      // >0: inside an unvalidated subtree (token stream)
 	rootDone  bool
 
-	// events, when non-nil, receives the structural callbacks; rawSkip
-	// marks the current skipped subtree as observer-visible (a wildcard
-	// match with no declaration) rather than an invalid one.
-	events  StreamEvents
-	rawSkip bool
+	// events, when non-nil, receives the structural callbacks; val is the
+	// slot CloseElement's value is handed over in, allocated for the
+	// first one, and raw buffers the token stream's skipped subtree when
+	// it is observer-visible (a wildcard match with no declaration)
+	// rather than an invalid one.
+	events StreamEvents
+	val    *xsdtypes.Value
+	raw    *fragment
 
 	ns []nsBinding
 
@@ -317,21 +316,23 @@ func (m *machine) recycle(f *frame) {
 // token dispatches one parse event.
 func (m *machine) token(tok *xmlparser.Token) {
 	if m.skipDepth > 0 {
-		if m.rawSkip {
-			m.events.RawToken(tok)
+		if m.raw != nil && m.raw.add(tok) {
+			m.events.RawElement(m.raw.root)
+			m.raw.release()
+			m.raw = nil
 		}
 		switch tok.Kind {
 		case xmlparser.KindStartElement:
 			m.skipDepth++
 		case xmlparser.KindEndElement:
-			if m.skipDepth--; m.skipDepth == 0 {
-				m.rawSkip = false
-			}
+			m.skipDepth--
 		}
 		return
 	}
 	if f := m.top(); f != nil && f.mode == fmFallback {
-		m.feedFallback(f, tok)
+		if f.fb.add(tok) {
+			m.completeFallback(f)
+		}
 		return
 	}
 	switch tok.Kind {
@@ -343,10 +344,10 @@ func (m *machine) token(tok *xmlparser.Token) {
 		m.endElement()
 	case xmlparser.KindText:
 		if data := tok.Bytes(); len(data) > 0 { // dom.Parse drops empty text nodes
-			text(m, data, false, tok)
+			text(m, data, false)
 		}
 	case xmlparser.KindCData:
-		text(m, tok.Bytes(), true, tok)
+		text(m, tok.Bytes(), true)
 	case xmlparser.KindComment, xmlparser.KindProcInst:
 		m.misc()
 	}
@@ -404,10 +405,14 @@ func (m *machine) startElement(tok *xmlparser.Token, el *dom.Element) bool {
 			m.pushFrame(tok, el, decl, at, nsMark, wild)
 			return true
 		} else if wild && m.events != nil {
-			// Deliver the unvalidated subtree raw, starting with this
-			// start tag.
-			m.events.RawToken(tok)
-			m.rawSkip = true
+			// Deliver the unvalidated subtree raw: the replay has it at
+			// hand, the token stream buffers it while skipping it.
+			if el != nil {
+				m.events.RawElement(el)
+			} else {
+				m.raw = new(fragment)
+				m.raw.start(tok)
+			}
 		}
 	case parent.mode == fmSimple || parent.mode == fmCSimple:
 		parent.sawElemChild = true
@@ -445,9 +450,6 @@ func (m *machine) lookupNS(prefix string) (string, bool) {
 // and nil on the token stream; wild marks an element admitted by a
 // content-model wildcard.
 func (m *machine) pushFrame(tok *xmlparser.Token, el *dom.Element, decl *xsd.ElementDecl, at step, nsMark int, wild bool) {
-	if obs := m.v.opts.ElementObserver; obs != nil {
-		obs(decl)
-	}
 	f := m.newFrame(at, decl, nsMark)
 	f.el, f.wild = el, wild
 	xsiType, _ := tok.Attr(xsd.XSINamespace, "type")
@@ -535,9 +537,8 @@ func (m *machine) announce(f *frame, typ xsd.Type, tok *xmlparser.Token, nilled 
 
 // text consumes the character data of a text node, or of a CDATA section
 // when cdata is set. The token stream passes the decoder's byte view and
-// the DOM replay the node's string, so neither is copied; tok is the
-// token on the stream (nil on the replay), for the MixedText event.
-func text[T string | []byte](m *machine, data T, cdata bool, tok *xmlparser.Token) {
+// the DOM replay the node's string, so neither is copied to be checked.
+func text[T string | []byte](m *machine, data T, cdata bool) {
 	f := m.top()
 	if f == nil {
 		return // document-level whitespace or misc
@@ -546,7 +547,7 @@ func text[T string | []byte](m *machine, data T, cdata bool, tok *xmlparser.Toke
 	case fmModel:
 		if f.mixed {
 			if m.events != nil {
-				m.events.MixedText(tok.Data())
+				m.events.MixedText(string(data))
 			}
 			return
 		}
@@ -670,12 +671,15 @@ func (m *machine) closeFrame(f *frame) []Violation {
 	}
 }
 
-// announceValue hands a simple element's parsed value to CloseElement.
-// Only a copy escapes, and only for announced frames.
+// announceValue hands a simple element's parsed value to CloseElement
+// through the machine's one value slot, so nothing escapes per element.
 func (m *machine) announceValue(f *frame, val xsdtypes.Value, ok bool) {
 	if ok && f.announced {
-		v := val
-		f.evVal = &v
+		if m.val == nil {
+			m.val = new(xsdtypes.Value)
+		}
+		*m.val = val
+		f.evVal = m.val
 	}
 }
 
@@ -683,14 +687,10 @@ func (m *machine) announceValue(f *frame, val xsdtypes.Value, ok bool) {
 // fragment for replay.
 func (m *machine) startFallback(f *frame, tok *xmlparser.Token) {
 	f.mode = fmFallback
-	doc := dom.NewPooledDocument()
-	root := doc.CreateElementNS(tok.Name.Space, tok.Name.Qualified())
-	for i := range tok.Attrs {
-		a := &tok.Attrs[i]
-		root.SetAttributeNS(a.Name.Space, a.Name.Qualified(), a.Value)
-	}
+	f.fb.start(tok)
 	// Graft the in-scope namespace bindings onto the buffered root so
 	// xsi:type prefixes resolve as they would in the full tree. Innermost bindings win; locally declared ones are already set.
+	root := f.fb.root
 	for i := len(m.ns) - 1; i >= 0; i-- {
 		b := m.ns[i]
 		if root.HasAttributeNS(xmlparser.XMLNSNamespace, b.name) {
@@ -702,67 +702,84 @@ func (m *machine) startFallback(f *frame, tok *xmlparser.Token) {
 		}
 		root.SetAttributeNS(xmlparser.XMLNSNamespace, q, b.uri)
 	}
-	doc.AppendChild(root)
-	f.fbDoc = doc
-	f.fbRoot = root
-	f.fbCur = root
-	f.fbDepth = 1
-}
-
-// feedFallback appends one token to the buffered subtree, mapping tokens
-// to nodes the way dom.Parse does.
-func (m *machine) feedFallback(f *frame, tok *xmlparser.Token) {
-	doc := f.fbDoc
-	switch tok.Kind {
-	case xmlparser.KindStartElement:
-		e := doc.CreateElementNS(tok.Name.Space, tok.Name.Qualified())
-		for i := range tok.Attrs {
-			a := &tok.Attrs[i]
-			e.SetAttributeNS(a.Name.Space, a.Name.Qualified(), a.Value)
-		}
-		f.fbCur.AppendChild(e)
-		f.fbCur = e
-		f.fbDepth++
-	case xmlparser.KindEndElement:
-		f.fbDepth--
-		if f.fbDepth == 0 {
-			m.completeFallback(f)
-			return
-		}
-		f.fbCur = f.fbCur.ParentNode()
-	case xmlparser.KindText:
-		if tok.Data() == "" {
-			return
-		}
-		f.fbCur.AppendChild(doc.CreateTextNode(tok.Data()))
-	case xmlparser.KindCData:
-		f.fbCur.AppendChild(doc.CreateCDATASection(tok.Data()))
-	case xmlparser.KindComment:
-		f.fbCur.AppendChild(doc.CreateComment(tok.Data()))
-	case xmlparser.KindProcInst:
-		f.fbCur.AppendChild(doc.CreateProcessingInstruction(tok.Target, tok.Data()))
-	}
 }
 
 // completeFallback replays the buffered subtree through a sub-machine
-// that shares the stream's ID table, so rollback covers its IDs.
+// that shares the stream's ID table, so rollback covers its IDs, and its
+// observer, so the subtree's elements reach it as ordinary events.
 func (m *machine) completeFallback(f *frame) {
 	path := m.path(f)
 	m.frames = m.frames[:len(m.frames)-1]
 	m.ns = m.ns[:f.nsMark]
 	if m.sub == nil {
-		m.sub = &machine{v: m.v, ids: m.ids}
+		m.sub = &machine{v: m.v, ids: m.ids, events: m.events}
 	}
 	sub := m.sub
 	sub.res.Violations = sub.res.Violations[:0]
-	sub.enter(f.fbRoot, f.decl, nil, path)
+	sub.enter(f.fb.root, f.decl, f.wild, nil, path)
 	m.deliver(sub.res.Violations)
-	if m.events != nil {
-		m.events.FallbackElement(f.decl, f.fbRoot, f.wild)
-	}
 	// The buffered subtree is private to this frame and the replay above
 	// only keeps strings, so its pooled nodes can be recycled now.
-	f.fbDoc.Release()
-	f.fbDoc, f.fbRoot, f.fbCur = nil, nil, nil
+	f.fb.release()
 	m.recycle(f)
+}
+
+// fragment is a subtree the token stream buffers into a private pooled
+// DOM, mapping tokens to nodes the way dom.Parse does.
+type fragment struct {
+	doc   *dom.Document
+	root  *dom.Element
+	cur   dom.Node
+	depth int
+}
+
+// start begins a fragment rooted at the element tok starts.
+func (b *fragment) start(tok *xmlparser.Token) {
+	b.doc = dom.NewPooledDocument()
+	b.root = b.element(tok)
+	b.doc.AppendChild(b.root)
+	b.cur, b.depth = b.root, 1
+}
+
+// element creates the element a start tag describes.
+func (b *fragment) element(tok *xmlparser.Token) *dom.Element {
+	e := b.doc.CreateElementNS(tok.Name.Space, tok.Name.Qualified())
+	for i := range tok.Attrs {
+		a := &tok.Attrs[i]
+		e.SetAttributeNS(a.Name.Space, a.Name.Qualified(), a.Value)
+	}
+	return e
+}
+
+// add appends one token and reports whether it closed the root.
+func (b *fragment) add(tok *xmlparser.Token) bool {
+	switch tok.Kind {
+	case xmlparser.KindStartElement:
+		e := b.element(tok)
+		b.cur.AppendChild(e)
+		b.cur = e
+		b.depth++
+	case xmlparser.KindEndElement:
+		if b.depth--; b.depth == 0 {
+			return true
+		}
+		b.cur = b.cur.ParentNode()
+	case xmlparser.KindText:
+		if tok.Data() != "" {
+			b.cur.AppendChild(b.doc.CreateTextNode(tok.Data()))
+		}
+	case xmlparser.KindCData:
+		b.cur.AppendChild(b.doc.CreateCDATASection(tok.Data()))
+	case xmlparser.KindComment:
+		b.cur.AppendChild(b.doc.CreateComment(tok.Data()))
+	case xmlparser.KindProcInst:
+		b.cur.AppendChild(b.doc.CreateProcessingInstruction(tok.Target, tok.Data()))
+	}
+	return false
+}
+
+// release recycles the fragment's pooled nodes.
+func (b *fragment) release() {
+	b.doc.Release()
+	*b = fragment{}
 }

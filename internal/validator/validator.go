@@ -62,12 +62,6 @@ type Options struct {
 	// negative means runtime.GOMAXPROCS(0). It has no effect on the
 	// single-document entry points.
 	Parallelism int
-	// ElementObserver, when non-nil, is invoked with the governing
-	// declaration of every element the walk opens. It exists for
-	// instrumentation — codegen's instance-corpus pruning pass uses it to
-	// record which declarations a sample document set reaches — and has no
-	// effect on verdicts.
-	ElementObserver func(decl *xsd.ElementDecl)
 }
 
 // Validator validates documents against one schema.
@@ -103,15 +97,12 @@ func (v *Validator) CompiledModels() int { return v.schema.CompiledModels() }
 // ValidateDocument validates a whole document: the root element must match
 // a global element declaration.
 func (v *Validator) ValidateDocument(doc *dom.Document) *Result {
-	return v.newMachine().document(doc)
+	return v.ValidateDocumentEvents(doc, nil)
 }
 
 // ValidateElement validates a subtree against a specific declaration.
 func (v *Validator) ValidateElement(el *dom.Element, decl *xsd.ElementDecl) *Result {
-	m := v.newMachine()
-	m.enter(el, decl, nil, "/"+el.TagName())
-	m.ids.resolve(&m.res.Violations)
-	return &m.res
+	return v.ValidateElementEvents(el, decl, false, nil)
 }
 
 // document validates doc's root against its global declaration, then
@@ -125,7 +116,7 @@ func (m *machine) document(doc *dom.Document) *Result {
 	if decl, fail := m.v.rootDecl(root.Name()); decl == nil {
 		report(&m.res.Violations, "/"+root.TagName(), fail)
 	} else {
-		m.enter(root, decl, nil, "/"+root.TagName())
+		m.enter(root, decl, false, nil, "/"+root.TagName())
 		m.ids.resolve(&m.res.Violations)
 	}
 	return &m.res
@@ -145,15 +136,16 @@ func (v *Validator) rootDecl(n xmlparser.Name) (*xsd.ElementDecl, string) {
 // the frame machine. It seeds the namespace stack with the bindings el
 // inherits from its ancestors, opens el's frame as the entry frame with
 // path as its base, replays the subtree and closes the frame, whose
-// violations reach m.res. A nil decl opens a content-only frame for ct's
-// model instead (Sink.ElementContent).
-func (m *machine) enter(el *dom.Element, decl *xsd.ElementDecl, ct *xsd.ComplexType, path string) {
+// violations reach m.res. wild marks el as wildcard-admitted for the
+// observer. A nil decl opens a content-only frame for ct's model instead
+// (Sink.ElementContent).
+func (m *machine) enter(el *dom.Element, decl *xsd.ElementDecl, wild bool, ct *xsd.ComplexType, path string) {
 	m.ns = inherited(m.ns[:0], el)
 	m.base = path
 	tok := m.startToken(el)
 	nsMark := m.bind(tok)
 	if decl != nil {
-		m.pushFrame(tok, el, decl, step{}, nsMark, false)
+		m.pushFrame(tok, el, decl, step{}, nsMark, wild)
 	} else {
 		f := m.newFrame(step{}, nil, nsMark)
 		f.el = el
@@ -193,9 +185,9 @@ func (m *machine) replay(el *dom.Element) {
 				m.endElement()
 			}
 		case *dom.Text:
-			text(m, x.Data, false, nil)
+			text(m, x.Data, false)
 		case *dom.CDATASection:
-			text(m, x.Data, true, nil)
+			text(m, x.Data, true)
 		default: // comments and processing instructions
 			m.misc()
 		}
