@@ -7,6 +7,7 @@ package repro
 // the paper's purchase order, and over malformed input.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -374,6 +375,55 @@ func TestStreamMatchesDOMOnMutationCorpus(t *testing.T) {
 	sv := validator.New(schema, nil).Stream()
 	for _, m := range poMutations {
 		diffValidate(t, schema, sv, m.name, m.xmlOutput)
+	}
+}
+
+// TestBatchBytesMatchesDOM runs each differential group, and the
+// mutation corpus, as one StreamValidator.ValidateBatchContext call: every
+// slot must equal ValidateBytes on its document, whatever the pool size
+// and whichever worker took it.
+func TestBatchBytesMatchesDOM(t *testing.T) {
+	type group struct {
+		name, xsdSrc string
+		labels, srcs []string
+	}
+	var groups []group
+	for _, tc := range diffCases {
+		g := group{name: tc.name, xsdSrc: tc.xsdSrc}
+		for label, src := range tc.instances {
+			g.labels = append(g.labels, label)
+			g.srcs = append(g.srcs, src)
+		}
+		groups = append(groups, g)
+	}
+	mutants := group{name: "mutation corpus", xsdSrc: schemas.PurchaseOrderXSD}
+	for _, m := range poMutations {
+		mutants.labels = append(mutants.labels, m.name)
+		mutants.srcs = append(mutants.srcs, m.xmlOutput)
+	}
+	groups = append(groups, mutants)
+	for _, g := range groups {
+		t.Run(g.name, func(t *testing.T) {
+			schema, err := xsd.ParseString(g.xsdSrc, nil)
+			if err != nil {
+				t.Fatalf("schema: %v", err)
+			}
+			srcs := make([][]byte, len(g.srcs))
+			for i, src := range g.srcs {
+				srcs[i] = []byte(src)
+			}
+			for _, workers := range []int{0, 1, 3} {
+				sv := validator.New(schema, &validator.Options{Parallelism: workers}).Stream()
+				results, err := sv.ValidateBatchContext(context.Background(), srcs)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				for i, src := range g.srcs {
+					_, want := validator.ValidateBytes(schema, []byte(src))
+					assertSameResult(t, fmt.Sprintf("%s (workers=%d)", g.labels[i], workers), want, results[i])
+				}
+			}
+		})
 	}
 }
 

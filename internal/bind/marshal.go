@@ -20,19 +20,19 @@ import (
 	"repro/internal/xsd"
 )
 
-// Marshal serializes v as schema-valid XML. The result is re-parsed and
-// re-validated; a tree the schema rejects yields an error carrying the
-// first violation.
+// Marshal serializes v as schema-valid XML. The result is re-checked by
+// the stream validator (no DOM is built); output that does not parse, or
+// that the schema rejects, yields an error carrying the parse error or
+// the first violation.
 func (b *Binder) Marshal(v *Value) ([]byte, error) {
 	if v == nil {
 		return nil, fmt.Errorf("bind: cannot marshal a nil value")
 	}
 	out := Serialize(v)
-	doc, err := dom.Parse(out)
+	res, err := b.sv.ValidateWellFormed(out)
 	if err != nil {
 		return nil, fmt.Errorf("bind: marshaled document does not parse: %w", err)
 	}
-	res := b.v.ValidateDocument(doc)
 	if !res.OK() {
 		viol := res.Violations[0]
 		return nil, fmt.Errorf("bind: marshaled document is schema-invalid at %s: %s", viol.Path, viol.Msg)

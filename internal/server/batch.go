@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/dom"
 	"repro/internal/validator"
 )
 
@@ -45,7 +44,12 @@ type batchResponse struct {
 // headers, JSON framing) dominates small validations, and batching
 // amortizes it the way validator.ValidateBatch already does in-process.
 // Inside the slot the documents fan out across the validator's worker
-// pool, so a batch uses the cores a single document cannot.
+// pool, so a batch uses the cores a single document cannot. Each worker
+// parses and validates one document at a time on the token stream: no
+// DOM is built, so a batch's peak memory beyond the documents' bytes is
+// O(workers × depth) (plus subtrees buffered for identity constraints)
+// rather than the sum of its trees, and the request deadline stops a
+// batch in the middle of a document.
 //
 // The per-document verdict contract matches /v1/validate: a malformed
 // document is valid:false with the parse error as its violation, never a
@@ -86,7 +90,7 @@ func (s *Server) handleValidateBatch(w http.ResponseWriter, r *http.Request) {
 		if ctx.Err() != nil {
 			return outcome{code: http.StatusGatewayTimeout, errMsg: "request deadline exceeded"}
 		}
-		results = s.runBatch(ctx, entry.Validator, req.Documents)
+		results = s.runBatch(ctx, entry.Stream, req.Documents)
 		if results == nil {
 			return outcome{code: http.StatusGatewayTimeout, errMsg: "request deadline exceeded"}
 		}
@@ -123,36 +127,27 @@ func (s *Server) handleValidateBatch(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
-// runBatch parses the documents and fans them through the validator's
-// batch worker pool. Malformed documents get their parse error as the
-// verdict (per-document parity with /v1/validate) without occupying a
-// pool slot. A nil return means the context expired mid-batch.
-func (s *Server) runBatch(ctx context.Context, v *validator.Validator, sources []string) []batchResult {
-	results := make([]batchResult, len(sources))
-	docs := make([]*dom.Document, 0, len(sources))
-	docIdx := make([]int, 0, len(sources))
+// runBatch fans the documents through the stream validator's batch
+// worker pool: each worker parses and validates one document straight
+// from its bytes. A malformed document gets its parse error as the
+// verdict (per-document parity with /v1/validate). A nil return means the
+// context expired mid-batch.
+func (s *Server) runBatch(ctx context.Context, sv *validator.StreamValidator, sources []string) []batchResult {
+	srcs := make([][]byte, len(sources))
 	for i, src := range sources {
-		doc, perr := dom.Parse([]byte(src))
-		if perr != nil {
-			results[i] = batchResult{Violations: []violationJSON{{Path: "/", Msg: perr.Error()}}}
-			continue
-		}
-		docs = append(docs, doc)
-		docIdx = append(docIdx, i)
+		srcs[i] = []byte(src)
 	}
-	verdicts, err := v.ValidateBatchContext(ctx, docs)
-	for _, doc := range docs {
-		doc.Release()
-	}
+	verdicts, err := sv.ValidateBatchContext(ctx, srcs)
 	if err != nil {
 		return nil
 	}
-	for j, res := range verdicts {
+	results := make([]batchResult, len(verdicts))
+	for i, res := range verdicts {
 		br := batchResult{Valid: res.OK()}
 		for _, viol := range res.Violations {
 			br.Violations = append(br.Violations, violationJSON{Path: viol.Path, Msg: viol.Msg})
 		}
-		results[docIdx[j]] = br
+		results[i] = br
 	}
 	return results
 }

@@ -1,15 +1,21 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/schemas"
+	"repro/internal/validator"
+	"repro/internal/xsd"
 )
 
 func postBatch(t *testing.T, url string, docs []string) (int, batchResponse, []byte) {
@@ -77,6 +83,160 @@ func TestValidateBatch(t *testing.T) {
 	}
 	if got := series.Requests.Load(); got != 1 {
 		t.Fatalf("batch series Requests = %d, want 1", got)
+	}
+}
+
+// batchCatalogXSD puts an xs:key/xs:keyref pair on a nested <section>,
+// so the token stream buffers each section's subtree and replays it.
+const batchCatalogXSD = `<?xml version="1.0"?>
+<xsd:schema xmlns:xsd="http://www.w3.org/2001/XMLSchema">
+  <xsd:element name="catalog">
+    <xsd:complexType>
+      <xsd:sequence>
+        <xsd:element name="section" maxOccurs="unbounded">
+          <xsd:complexType>
+            <xsd:sequence>
+              <xsd:element name="product" maxOccurs="unbounded">
+                <xsd:complexType>
+                  <xsd:attribute name="sku" type="xsd:string" use="required"/>
+                  <xsd:attribute name="price" type="xsd:decimal"/>
+                </xsd:complexType>
+              </xsd:element>
+              <xsd:element name="ref" minOccurs="0" maxOccurs="unbounded">
+                <xsd:complexType>
+                  <xsd:attribute name="to" type="xsd:string" use="required"/>
+                </xsd:complexType>
+              </xsd:element>
+            </xsd:sequence>
+          </xsd:complexType>
+          <xsd:key name="skuKey">
+            <xsd:selector xpath="product"/>
+            <xsd:field xpath="@sku"/>
+          </xsd:key>
+          <xsd:keyref name="skuRef" refer="skuKey">
+            <xsd:selector xpath="ref"/>
+            <xsd:field xpath="@to"/>
+          </xsd:keyref>
+        </xsd:element>
+      </xsd:sequence>
+    </xsd:complexType>
+  </xsd:element>
+</xsd:schema>
+`
+
+// TestValidateBatchParity holds every batch verdict to the library's
+// ValidateBytes on the same document: valid, schema-invalid, malformed
+// (including a parse error after a validity error), an undeclared prefix,
+// and identity-constrained subtrees the stream buffers and replays.
+func TestValidateBatchParity(t *testing.T) {
+	ts, s := newTestServer(t, Config{})
+	if err := os.WriteFile(filepath.Join(s.reg.Dir(), "catalog.xsd"), []byte(batchCatalogXSD), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.reg.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	section := func(body string) string { return `<section>` + body + `</section>` }
+	for _, tc := range []struct {
+		schema, xsdSrc string
+		docs           []string
+	}{
+		{"po", schemas.PurchaseOrderXSD, []string{
+			schemas.PurchaseOrderDoc,
+			strings.Replace(schemas.PurchaseOrderDoc, "<quantity>1</quantity>", "<quantity>9999</quantity>", 1),
+			`<purchaseOrder><shipTo></purchaseOrder>`,
+			`<purchaseOrder><shipTo country="US"><name>n</name><street>s</street><city>c</city><state>st</state><zip>1</zip></shipTo><billTo country="US"><name>n</nam`,
+			``,
+			`not xml at all`,
+			`<purchaseOrder><po:items/></purchaseOrder>`,
+			`<nope><a></b></nope>`,
+		}},
+		{"catalog", batchCatalogXSD, []string{
+			`<catalog>` + section(`<product sku="a"/><product sku="b" price="1.5"/><ref to="a"/>`) +
+				section(`<product sku="a"/><ref to="a"/>`) + `</catalog>`,
+			`<catalog>` + section(`<product sku="a"/><product sku="a"/>`) +
+				section(`<product sku="b" price="cheap"/><ref to="c"/>`) + `</catalog>`,
+			`<catalog>` + section(`<ref to="a"/>`) + section(`<product sku="a"/><ref to="b"/>`) + `</catalog>`,
+			`<catalog>` + section(`<product sku="a"/>`) + section(`<product sku="a"></section>`) + `</catalog>`,
+		}},
+	} {
+		schema, err := xsd.ParseString(tc.xsdSrc, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, br, raw := postBatch(t, ts.URL+"/v1/validate-batch/"+tc.schema, tc.docs)
+		if code != http.StatusOK || len(br.Results) != len(tc.docs) {
+			t.Fatalf("%s batch answered %d with %d results: %s", tc.schema, code, len(br.Results), raw)
+		}
+		for i, doc := range tc.docs {
+			_, want := validator.ValidateBytes(schema, []byte(doc))
+			got := br.Results[i]
+			var wantViols []violationJSON
+			for _, v := range want.Violations {
+				wantViols = append(wantViols, violationJSON{Path: v.Path, Msg: v.Msg})
+			}
+			if got.Valid != want.OK() || fmt.Sprint(got.Violations) != fmt.Sprint(wantViols) {
+				t.Errorf("%s doc %d %q:\n  batch:         valid=%v %v\n  ValidateBytes: valid=%v %v",
+					tc.schema, i, doc, got.Valid, got.Violations, want.OK(), wantViols)
+			}
+		}
+	}
+}
+
+// TestValidateBatchDeadlineInsideDocument sends one document that takes
+// far longer to validate than the request timeout. The request must
+// answer 504, and since the handler answers only once its worker has
+// returned, the response time shows the deadline stopped the worker in
+// the middle of the document rather than after it.
+func TestValidateBatchDeadlineInsideDocument(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString(`<purchaseOrder orderDate="1999-10-20"><shipTo country="US"><name>n</name><street>s</street><city>c</city><state>st</state><zip>1</zip></shipTo><billTo country="US"><name>n</name><street>s</street><city>c</city><state>st</state><zip>1</zip></billTo><items>`)
+	sb.WriteString(strings.Repeat(`<item partNum="926-AA"><productName>p</productName><quantity>1</quantity><USPrice>1.50</USPrice></item>`, 10000))
+	sb.WriteString(`</items></purchaseOrder>`)
+	doc := sb.String()
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(batchRequest{Documents: []string{doc}}); err != nil {
+		t.Fatal(err)
+	}
+
+	// Time, on this host, what the handler does before the batch starts
+	// (decoding the body) and what one full validation takes.
+	start := time.Now()
+	var req batchRequest
+	if err := json.Unmarshal(body.Bytes(), &req); err != nil {
+		t.Fatal(err)
+	}
+	decode := time.Since(start)
+	schema, err := xsd.ParseString(schemas.PurchaseOrderXSD, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start = time.Now()
+	if res := validator.New(schema, nil).Stream().ValidateBytes([]byte(doc)); !res.OK() {
+		t.Fatalf("setup: document is invalid: %v", res.Err())
+	}
+	full := time.Since(start)
+
+	// The deadline leaves room for the decode, so it fires while the
+	// document is being validated.
+	timeout := 3*decode + 20*time.Millisecond
+	ts, _ := newTestServer(t, Config{RequestTimeout: timeout})
+	start = time.Now()
+	resp, err := http.Post(ts.URL+"/v1/validate-batch/po", "application/json", &body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body) //nolint:errcheck
+	resp.Body.Close()
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("code = %d, want 504 (timeout %v, full validation %v)", resp.StatusCode, timeout, full)
+	}
+	if limit := timeout + full/2; elapsed > limit {
+		t.Fatalf("504 took %v, over %v: the worker ran on past the deadline (timeout %v, full validation %v)",
+			elapsed, limit, timeout, full)
 	}
 }
 

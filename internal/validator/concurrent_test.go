@@ -3,8 +3,10 @@ package validator
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/dom"
 	"repro/internal/schemas"
@@ -203,4 +205,59 @@ func TestValidateBatchCancellation(t *testing.T) {
 	if done == len(docs) {
 		t.Error("cancelled batch still processed every document")
 	}
+}
+
+// TestStreamValidateBatchCancellation is TestValidateBatchCancellation
+// for the bytes batch, plus what only the bytes batch does: a document
+// already under way when ctx is cancelled stops mid-run, leaving its
+// slot nil, and the batch reports ctx.Err() even though every document
+// had started.
+func TestStreamValidateBatchCancellation(t *testing.T) {
+	sv := poValidator(t).Stream()
+
+	t.Run("cancelled before the batch starts", func(t *testing.T) {
+		srcs := make([][]byte, 500)
+		for i := range srcs {
+			srcs[i] = []byte(schemas.PurchaseOrderDoc)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		results, err := sv.ValidateBatchContext(ctx, srcs)
+		if err != context.Canceled {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if len(results) != len(srcs) {
+			t.Fatalf("result slice must stay index-aligned: %d vs %d", len(results), len(srcs))
+		}
+		for i, res := range results {
+			if res != nil {
+				t.Fatalf("slot %d validated after cancellation", i)
+			}
+		}
+	})
+
+	t.Run("cancelled inside the only document", func(t *testing.T) {
+		var sb strings.Builder
+		sb.WriteString(`<purchaseOrder orderDate="1999-10-20"><shipTo country="US"><name>a</name><street>s</street><city>c</city><state>CA</state><zip>1</zip></shipTo><billTo country="US"><name>b</name><street>s</street><city>c</city><state>PA</state><zip>2</zip></billTo><items>`)
+		for i := 0; i < 20000; i++ {
+			fmt.Fprintf(&sb, `<item partNum="%03d-AB"><productName>p</productName><quantity>1</quantity><USPrice>1.00</USPrice></item>`, i%1000)
+		}
+		sb.WriteString(`</items></purchaseOrder>`)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		time.AfterFunc(time.Millisecond, cancel)
+		results, err := sv.ValidateBatchContext(ctx, [][]byte{[]byte(sb.String())})
+		if err != context.Canceled {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if len(results) != 1 || results[0] != nil {
+			t.Fatalf("results = %v, want one nil slot (a prefix proves nothing)", results)
+		}
+	})
+
+	t.Run("empty batch", func(t *testing.T) {
+		if results, err := sv.ValidateBatchContext(context.Background(), nil); results != nil || err != nil {
+			t.Fatalf("empty batch = %v, %v; want nil, nil", results, err)
+		}
+	})
 }

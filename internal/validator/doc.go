@@ -87,7 +87,8 @@
 // call, and the compiled content models live on the immutable schema,
 // built under a per-type sync.Once. ValidateBatch fans a document slice
 // out over a bounded worker pool (Options.Parallelism, default
-// GOMAXPROCS). A StreamValidator holds no per-run state either, so one
+// GOMAXPROCS); StreamValidator.ValidateBatchContext runs the same pool
+// over unparsed documents, stream-validating each from its bytes. A StreamValidator holds no per-run state either, so one
 // StreamValidator may serve any number of goroutines, interleaved freely
 // with DOM-path runs on the same Validator (asserted under -race by
 // TestStreamConcurrent). Documents are only read; callers must not mutate

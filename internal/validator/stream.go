@@ -91,17 +91,42 @@ func (sv *StreamValidator) ValidateBytes(src []byte) *Result {
 	return res
 }
 
+// ValidateWellFormed validates an in-memory document like ValidateBytes,
+// but keeps a malformed document apart from an invalid one: a parse
+// error comes back as the error, with a nil Result, instead of as the
+// verdict's one violation. Binder.Marshal re-checks its output with it.
+func (sv *StreamValidator) ValidateWellFormed(src []byte) (*Result, error) {
+	res, perr, _ := sv.run(context.Background(), xmlparser.NewDecoder(src, nil), nil)
+	return res, perr
+}
+
 // ctxCheckEvery is how many tokens the streaming loop processes between
 // cancellation checks: rare enough that the select never shows up in
 // profiles, frequent enough that a deadline trips within microseconds.
 const ctxCheckEvery = 256
 
+// validate is run with a malformed document's parse error folded into
+// the verdict, as ValidateBytes reports it.
 func (sv *StreamValidator) validate(ctx context.Context, dec *xmlparser.Decoder, ev StreamEvents) (*Result, error) {
+	res, perr, err := sv.run(ctx, dec, ev)
+	if perr != nil {
+		// Parity with ValidateBytes: a malformed document yields only
+		// the parse error, regardless of violations already observed in
+		// the prefix.
+		return &Result{Violations: []Violation{{Path: "/", Msg: perr.Error()}}}, nil
+	}
+	return res, err
+}
+
+// run drives the frame machine over dec's tokens. It returns the verdict,
+// or the parse error of a malformed document, or ctx.Err() when ctx
+// stopped the run first.
+func (sv *StreamValidator) run(ctx context.Context, dec *xmlparser.Decoder, ev StreamEvents) (res *Result, perr, err error) {
 	done := ctx.Done()
 	if done != nil {
 		select {
 		case <-done:
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		default:
 		}
 	}
@@ -111,14 +136,13 @@ func (sv *StreamValidator) validate(ctx context.Context, dec *xmlparser.Decoder,
 	// tok is declared once: the loop hands its address to m.token, so a
 	// per-iteration declaration would move every token to the heap.
 	var tok xmlparser.Token
-	var err error
 	for {
 		if done != nil {
 			if sinceCheck++; sinceCheck >= ctxCheckEvery {
 				sinceCheck = 0
 				select {
 				case <-done:
-					return nil, ctx.Err()
+					return nil, nil, ctx.Err()
 				default:
 				}
 			}
@@ -128,15 +152,12 @@ func (sv *StreamValidator) validate(ctx context.Context, dec *xmlparser.Decoder,
 			break
 		}
 		if err != nil {
-			// Parity with ValidateBytes: a malformed document yields
-			// only the parse error, regardless of violations already
-			// observed in the prefix.
-			return &Result{Violations: []Violation{{Path: "/", Msg: err.Error()}}}, nil
+			return nil, err, nil
 		}
 		m.token(&tok)
 	}
 	m.ids.resolve(&m.res.Violations)
-	return &m.res, nil
+	return &m.res, nil, nil
 }
 
 // frame modes. The modes before fmNilled validate the element's content.

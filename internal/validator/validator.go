@@ -58,9 +58,10 @@ type Options struct {
 	// resolution (the paper-excluded extension); structural and
 	// simple-type checking is unaffected.
 	SkipIDChecks bool
-	// Parallelism bounds the worker pool used by ValidateBatch. Zero or
-	// negative means runtime.GOMAXPROCS(0). It has no effect on the
-	// single-document entry points.
+	// Parallelism bounds the worker pool used by ValidateBatch and
+	// StreamValidator.ValidateBatchContext. Zero or negative means
+	// runtime.GOMAXPROCS(0). It has no effect on the single-document
+	// entry points.
 	Parallelism int
 }
 
